@@ -9,10 +9,19 @@ Two scalar modes share one code path:
   values stay dyadic rationals and equality checks against the direct method
   are exact.
 
-``OpCounter`` instruments the very path that computes the result: each scalar
-multiplication and each scalar addition increments the counter where it
-happens, so the counted arithmetic is the shipped arithmetic.  Sign flips on
-ternary-matrix entries are not multiplications and are not counted.
+``apply_basic_op`` is the per-window scalar kernel.  Float ``fir_filter``
+runs the same stages over the whole signal at once (see ``stream``); finite,
+infinite and signed-zero outputs are bit-identical to this kernel's, and a
+NaN output is NaN at the same position, with sign and payload unspecified.
+
+``OpCounter`` instruments the very path that computes the result, split by
+stage: each multiplication counts where it happens, each addition of
+``a_pre`` and ``a_post`` is tallied by the row sum that makes it, and the
+tallies go to the counter when the stage ends.  In the whole-signal
+executor one vector operation over W windows counts as W scalar
+operations.  The counted arithmetic is thus the shipped arithmetic.  Sign
+flips on ternary-matrix entries are not multiplications and are not
+counted.
 """
 
 from __future__ import annotations
@@ -35,12 +44,22 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(kw_only=True)
 class OpCounter:
-    """Running tally of scalar multiplications and additions."""
+    """Running tally of scalar operations, per stage.
 
+    ``pre_adds`` are the additions of ``a_pre``, ``mults`` the diagonal
+    products and ``post_adds`` the additions of ``a_post``; the direct method
+    counts its output adders as ``post_adds``.  ``adds`` is their total.
+    """
+
+    pre_adds: int = 0
     mults: int = 0
-    adds: int = 0
+    post_adds: int = 0
+
+    @property
+    def adds(self) -> int:
+        return self.pre_adds + self.post_adds
 
 
 def _coerce(values: Sequence, exact: bool) -> list:
@@ -102,8 +121,10 @@ def precompute_diagonal(plan: KernelPlan, taps: Sequence, exact: bool = False) -
     )
 
 
-def _apply_ternary(rows, vec, zero, counter: OpCounter | None):
+def _apply_ternary(rows, vec, zero):
+    # Signed row sums in ascending column order, and the additions they took.
     out = []
+    adds = 0
     for row in rows:
         acc = None
         for j, sign in row:
@@ -112,10 +133,9 @@ def _apply_ternary(rows, vec, zero, counter: OpCounter | None):
                 acc = term
             else:
                 acc = acc + term
-                if counter is not None:
-                    counter.adds += 1
+                adds += 1
         out.append(zero if acc is None else acc)
-    return out
+    return out, adds
 
 
 def apply_basic_op(kernel: PreparedKernel, tile: Sequence, counter: OpCounter | None = None):
@@ -130,13 +150,16 @@ def apply_basic_op(kernel: PreparedKernel, tile: Sequence, counter: OpCounter | 
     x = _coerce(tile, kernel.exact)
     zero = Fraction(0) if kernel.exact else 0.0
 
-    t = _apply_ternary(kernel._pre_rows, x, zero, counter)
+    t, pre_adds = _apply_ternary(kernel._pre_rows, x, zero)
     mu = []
     for sk, tk in zip(kernel.s, t):
         mu.append(sk * tk)
         if counter is not None:
             counter.mults += 1
-    y = _apply_ternary(kernel._post_rows, mu, zero, counter)
+    y, post_adds = _apply_ternary(kernel._post_rows, mu, zero)
+    if counter is not None:
+        counter.pre_adds += pre_adds
+        counter.post_adds += post_adds
     return y[0], y[1]
 
 
@@ -161,7 +184,7 @@ def apply_basic_op_naive(taps: Sequence, tile: Sequence, exact: bool = False,
             acc = acc + x[i + offset] * w[i]
             if counter is not None:
                 counter.mults += 1
-                counter.adds += 1
+                counter.post_adds += 1
         return acc
 
     return dot(0), dot(1)

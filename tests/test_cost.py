@@ -1,5 +1,6 @@
 """Hardware-style multiplier and adder counting."""
 
+import numpy as np
 import pytest
 
 from minfilt import (
@@ -8,6 +9,7 @@ from minfilt import (
     apply_basic_op_naive,
     count_naive,
     count_proposed,
+    fir_filter,
     generate_plan,
     precompute_diagonal,
     savings_report,
@@ -66,6 +68,35 @@ def test_adder_capacity_matches_instrumented_additions():
         counter = OpCounter()
         apply_basic_op_naive([1] * m, [1] * (m + 1), counter=counter)
         assert count_naive(m).scalar_additions == counter.adds
+
+
+def _row_additions(matrix) -> int:
+    return sum(int(np.count_nonzero(row)) - 1 for row in np.asarray(matrix))
+
+
+def test_per_stage_counts_match_matrix_rows_and_cost_model():
+    # Pre-adds and post-adds per window are the row nnz - 1 of a_pre and
+    # a_post, on the scalar kernel and on both fir_filter executors.
+    for m in range(1, 33):
+        plan = generate_plan(m)
+        pre, post = _row_additions(plan.a_pre), _row_additions(plan.a_post)
+        assert pre + post == count_proposed(plan).scalar_additions
+        for exact in (False, True):
+            kernel = precompute_diagonal(plan, [1] * m, exact=exact)
+            counter = OpCounter()
+            apply_basic_op(kernel, list(range(m + 1)), counter)
+            assert (counter.pre_adds, counter.mults, counter.post_adds) == (pre, plan.p, post)
+            windows = 5
+            counter = OpCounter()
+            fir_filter(kernel, list(range(m + 2 * windows - 1)), counter)
+            assert (counter.pre_adds, counter.mults, counter.post_adds) == (
+                pre * windows, plan.p * windows, post * windows)
+
+
+def test_direct_method_additions_are_output_adders():
+    counter = OpCounter()
+    apply_basic_op_naive([1] * 5, [1] * 6, counter=counter)
+    assert (counter.pre_adds, counter.mults, counter.post_adds) == (0, 10, 8)
 
 
 def test_histogram_is_sorted_and_positive():

@@ -1,0 +1,126 @@
+"""The whole-signal float executor against the per-window scalar kernel."""
+
+import functools
+import math
+import warnings
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from minfilt import (
+    DiagonalTerm,
+    KernelPlan,
+    OpCounter,
+    apply_basic_op,
+    fir_filter,
+    generate_plan,
+    naive_fir,
+    precompute_diagonal,
+)
+
+plan_for = functools.lru_cache(maxsize=None)(generate_plan)
+
+
+def per_window(kernel, signal, counter=None) -> list:
+    """fir_filter as one apply_basic_op per window, the last zero-padded."""
+    m = kernel.plan.m
+    n_out = len(signal) - m + 1
+    x = list(signal) + [0] * (n_out % 2)
+    out = []
+    for k in range((n_out + 1) // 2):
+        out.extend(apply_basic_op(kernel, x[2 * k : 2 * k + m + 1], counter))
+    return out[:n_out]
+
+
+def assert_same_bits_nan_by_position(got, want):
+    """Bit-identical outputs, except that a NaN only has to meet a NaN."""
+    assert len(got) == len(want)
+    g = np.array(got, dtype=np.float64)
+    w = np.array(want, dtype=np.float64)
+    nan = np.isnan(w)
+    assert (np.isnan(g) == nan).all()
+    assert (g[~nan].view(np.uint64) == w[~nan].view(np.uint64)).all()
+
+
+def test_nonfinite_contract():
+    inf, nan = math.inf, math.nan
+    cases = [
+        # Finite taps whose halved sums overflow: the factorization gives
+        # inf - inf = NaN where the direct method stays finite.
+        (3, [1e308, 1e308, -1e308], [1.0, 0.0, 0.0, 1.0, 2.0]),
+        # Infinite and NaN samples spread through the windows.
+        (5, [1.0, -2.0, 0.5, 3.0, -1.0], [0.0, inf, 1.0, -inf, 2.0, nan, 3.0, 4.0, 5.0]),
+        (11, [0.25] * 11, [inf] + [1.0] * 20 + [-inf]),
+        # Signed zeros must keep their sign.
+        (1, [1.0], [-0.0, 0.0, -0.0]),
+        (4, [-0.0, 1.0, 0.0, -1.0], [-0.0] * 9),
+    ]
+    saw_nan = saw_inf = saw_negzero = False
+    for m, taps, signal in cases:
+        kernel = precompute_diagonal(generate_plan(m), taps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fir_filter(kernel, signal)
+        want = per_window(kernel, signal)
+        assert_same_bits_nan_by_position(got, want)
+        saw_nan |= any(math.isnan(v) for v in got)
+        saw_inf |= any(math.isinf(v) for v in got)
+        saw_negzero |= any(v == 0 and math.copysign(1, v) < 0 for v in got)
+    assert saw_nan and saw_inf and saw_negzero
+
+
+def test_hand_built_plan_with_shared_and_empty_rows():
+    # Two products read the same lone sample and one a_pre row is empty:
+    # the executor must neither scale one shared array twice nor fail.
+    base = generate_plan(1)
+    plan = KernelPlan(
+        m=1,
+        blocks=base.blocks,
+        a_pre=np.array([[1, 0], [1, 0], [0, 0]], dtype=np.int8),
+        a_post=np.array([[1, 0, 1], [0, 1, 1]], dtype=np.int8),
+        diag=(DiagonalTerm((1,), False),) * 3,
+    )
+    kernel = precompute_diagonal(plan, [3.0])
+    signal = [1.0, 2.0, -0.5, 4.0, 8.0]
+    assert fir_filter(kernel, signal) == per_window(kernel, signal) == [3.0, 3.0, -1.5, -1.5, 24.0]
+
+
+# Values: mostly moderate, sometimes extreme or non-finite.
+values = st.one_of(st.floats(-1e6, 1e6), st.floats(width=64))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), m=st.one_of(st.integers(1, 40), st.just(1024)),
+       extra=st.integers(0, 64), kind=st.sampled_from(["list", "int-list", "ndarray"]))
+def test_float_executor_equals_scalar_kernel(data, m, extra, kind):
+    taps = data.draw(arrays(np.float64, m, elements=values))
+    if kind == "int-list":
+        signal = data.draw(arrays(np.int64, m + extra,
+                                  elements=st.integers(-2**62, 2**62))).tolist()
+    else:
+        signal = data.draw(arrays(np.float64, m + extra, elements=values))
+        if kind == "list":
+            signal = signal.tolist()
+    kernel = precompute_diagonal(plan_for(m), taps.tolist())
+
+    counter, window_counter = OpCounter(), OpCounter()
+    got = fir_filter(kernel, signal, counter)
+    want = per_window(kernel, signal, window_counter)
+
+    assert type(got) is list and all(type(v) is float for v in got)
+    assert_same_bits_nan_by_position(got, want)
+    assert counter == window_counter
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), m=st.integers(1, 40), extra=st.integers(0, 64))
+def test_exact_mode_stays_exact(data, m, extra):
+    ints = st.integers(-2**20, 2**20)
+    taps = data.draw(st.lists(ints, min_size=m, max_size=m))
+    signal = data.draw(st.lists(ints, min_size=m + extra, max_size=m + extra))
+    got = fir_filter(precompute_diagonal(plan_for(m), taps, exact=True), signal)
+    assert all(type(v) is Fraction for v in got)
+    assert got == naive_fir(signal, taps, exact=True)
