@@ -3,7 +3,9 @@
 Every plan constant is a signed sum of taps divided by at most one factor of
 two, so with Fraction arithmetic the factorized kernel must equal the direct
 method exactly, not merely within a tolerance.  That turns verification into
-a pure yes or no question, and validate_plan asks it automatically.
+a pure yes or no question.  Random trials ask it of the executor;
+validate_plan answers it for the plan itself, by proof from the plan's
+integer matrices.
 """
 
 from dataclasses import replace
@@ -53,4 +55,5 @@ print("After flipping one matrix sign (structurally still legal):")
 for msg in report.failures:
     print(f"  {msg}")
 print()
-print("Structural checks pass the flipped plan; the exact identity catches it.")
+print("Structural checks pass the flipped plan; the exact identity catches it")
+print("and names the first tap-sample product whose coefficient is wrong.")

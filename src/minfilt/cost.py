@@ -11,24 +11,27 @@ Counting conventions, matched to the block dataflow diagrams:
 * constants derived from the taps, halved sums included, are precomputed off
   the datapath and cost nothing here.
 
-Output stage: each WINO3 block sums its products in two 3-input adders and
-each PAIR2 block in two 2-input adders; a PASS1 product feeds onward as is.
-Multi-block plans then combine one partial per block in two fan-in-B adders
-(B = block count).  The one exception is the two-block WINO3 + PAIR2 shape,
-where both blocks feed the output adders directly: two fused 5-input adders
-and no intermediate stage, which is how the published 5-tap dataflow draws
-it.
+Every adder is derived from the fan-in (row nonzeros) of the block
+templates: each ``a_pre`` or ``a_post`` row with fan-in f > 1 is one f-input
+adder, and multi-block plans combine one partial per block in two fan-in-B
+adders (B = block count).  The block shapes in ``_FUSED_OUTPUT`` instead sum
+every product of an output in one adder: WINO3 + PAIR2 has two 5-input
+adders, which is how the published 5-tap dataflow draws it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
-from .plan import BlockKind, KernelPlan, generate_plan
+from .plan import KernelPlan, generate_plan
 
 __all__ = ["OpCount", "SavingsRow", "count_naive", "count_proposed", "savings_report"]
+
+# Sorted block kinds of the plans whose outputs are single fused adders.
+_FUSED_OUTPUT = frozenset({("pair2", "wino3")})
 
 
 @dataclass(frozen=True)
@@ -58,37 +61,22 @@ def count_naive(m: int) -> OpCount:
     return OpCount(2 * m, _histogram({m: 2}))
 
 
+def _fan_in(row) -> int:
+    return sum(1 for v in row if v)
+
+
 def count_proposed(plan: KernelPlan) -> OpCount:
     """Adder histogram and multiplier count of the factorized dataflow."""
-    adders: dict[int, int] = {}
-
-    def add(fan_in: int, count: int) -> None:
-        adders[fan_in] = adders.get(fan_in, 0) + count
-
-    kinds = [b.kind for b in plan.blocks]
-    for kind in kinds:
-        if kind is BlockKind.WINO3:
-            add(2, 4)
-        elif kind is BlockKind.PAIR2:
-            add(2, 2)
-
-    if len(kinds) == 1:
-        if kinds[0] is BlockKind.WINO3:
-            add(3, 2)
-        elif kinds[0] is BlockKind.PAIR2:
-            add(2, 2)
-    elif sorted(k.value for k in kinds) == ["pair2", "wino3"]:
-        # Two-block WINO3 + PAIR2 shape: outputs sum all five products at once.
-        add(5, 2)
+    templates = [b.template for b in plan.blocks]
+    fan_ins = [_fan_in(row) for t in templates for row in t.a_pre]
+    if tuple(sorted(b.kind.value for b in plan.blocks)) in _FUSED_OUTPUT:
+        fan_ins += [sum(_fan_in(t.a_post[r]) for t in templates) for r in range(2)]
     else:
-        for kind in kinds:
-            if kind is BlockKind.WINO3:
-                add(3, 2)
-            elif kind is BlockKind.PAIR2:
-                add(2, 2)
-        add(len(kinds), 2)
-
-    return OpCount(plan.p, _histogram(adders))
+        fan_ins += [_fan_in(row) for t in templates for row in t.a_post]
+        if len(templates) > 1:
+            fan_ins += [len(templates)] * 2
+    # A row with fan-in 1 passes its one input on and needs no adder.
+    return OpCount(plan.p, _histogram(Counter(f for f in fan_ins if f > 1)))
 
 
 @dataclass(frozen=True)

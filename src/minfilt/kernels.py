@@ -26,11 +26,9 @@ counted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from .plan import KernelPlan
 
@@ -68,16 +66,6 @@ def _coerce(values: Sequence, exact: bool) -> list:
     return [float(v) for v in values]
 
 
-def _sparse_rows(matrix: np.ndarray) -> tuple[tuple[tuple[int, int], ...], ...]:
-    # (index, sign) pairs per row; the ternary matrices never need weights.
-    mat = np.asarray(matrix, dtype=np.int64)
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(mat.shape[0])]
-    rr, cc = np.nonzero(mat)
-    for r, c in zip(rr.tolist(), cc.tolist()):
-        rows[r].append((c, int(mat[r, c])))
-    return tuple(tuple(row) for row in rows)
-
-
 @dataclass(frozen=True)
 class PreparedKernel:
     """A plan bound to one set of taps, diagonal already evaluated.
@@ -88,8 +76,6 @@ class PreparedKernel:
     plan: KernelPlan
     s: tuple
     exact: bool
-    _pre_rows: tuple = field(repr=False)
-    _post_rows: tuple = field(repr=False)
 
 
 def precompute_diagonal(plan: KernelPlan, taps: Sequence, exact: bool = False) -> PreparedKernel:
@@ -97,28 +83,23 @@ def precompute_diagonal(plan: KernelPlan, taps: Sequence, exact: bool = False) -
 
     The halved terms divide by two once; in float mode that division is itself
     exact, so each constant is correctly rounded.  Raises ValueError when the
-    tap count does not match the plan.
+    tap count does not match the plan and TypeError when a tap is a str or
+    bytes.  Each constant starts from zero and adds its taps in ascending
+    index order.
     """
     if len(taps) != plan.m:
         raise ValueError(f"plan is for {plan.m} taps, got {len(taps)}")
+    if any(isinstance(v, (str, bytes)) for v in taps):
+        raise TypeError("taps must be numbers, not str or bytes")
     w = _coerce(taps, exact)
     zero = Fraction(0) if exact else 0.0
     s = []
-    for term in plan.diag:
+    for term, row in zip(plan.diag, plan.diag_rows):
         total = zero
-        for wi, c in zip(w, term.coeffs):
-            if c > 0:
-                total = total + wi
-            elif c < 0:
-                total = total - wi
+        for i, c in row:
+            total = total + w[i] if c > 0 else total - w[i]
         s.append(total / 2 if term.halved else total)
-    return PreparedKernel(
-        plan,
-        tuple(s),
-        exact,
-        _sparse_rows(plan.a_pre),
-        _sparse_rows(plan.a_post),
-    )
+    return PreparedKernel(plan, tuple(s), exact)
 
 
 def _apply_ternary(rows, vec, zero):
@@ -150,13 +131,13 @@ def apply_basic_op(kernel: PreparedKernel, tile: Sequence, counter: OpCounter | 
     x = _coerce(tile, kernel.exact)
     zero = Fraction(0) if kernel.exact else 0.0
 
-    t, pre_adds = _apply_ternary(kernel._pre_rows, x, zero)
+    t, pre_adds = _apply_ternary(plan.pre_rows, x, zero)
     mu = []
     for sk, tk in zip(kernel.s, t):
         mu.append(sk * tk)
         if counter is not None:
             counter.mults += 1
-    y, post_adds = _apply_ternary(kernel._post_rows, mu, zero)
+    y, post_adds = _apply_ternary(plan.post_rows, mu, zero)
     if counter is not None:
         counter.pre_adds += pre_adds
         counter.post_adds += post_adds

@@ -83,10 +83,10 @@ def _filter_columns(kernel: PreparedKernel, signal: Sequence, n_out: int, window
     padded[: len(signal)] = np.asarray(signal, dtype=np.float64)
     columns = [padded[j : j + 2 * windows : 2] for j in range(m + 1)]
     with np.errstate(over="ignore", invalid="ignore"):
-        mu, pre_adds = _column_sums(kernel._pre_rows, columns, windows)
+        mu, pre_adds = _column_sums(kernel.plan.pre_rows, columns, windows)
         for sk, tk in zip(kernel.s, mu):
             np.multiply(tk, sk, out=tk)  # t_k becomes mu_k = s_k * t_k
-        (y0, y1), post_adds = _column_sums(kernel._post_rows, mu, windows)
+        (y0, y1), post_adds = _column_sums(kernel.plan.post_rows, mu, windows)
     if counter is not None:
         counter.pre_adds += pre_adds * windows
         counter.mults += len(mu) * windows

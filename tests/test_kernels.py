@@ -1,5 +1,6 @@
 """Diagonal precomputation, basic-operation execution, operation counting."""
 
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -194,3 +195,35 @@ def test_is_dyadic():
     assert is_dyadic(7)
     assert not is_dyadic(Fraction(1, 3))
     assert not is_dyadic(0.5)
+
+
+def test_diagonal_bits_match_dense_recipe_on_special_taps():
+    # Each constant starts from +0.0 and adds or subtracts its taps in
+    # ascending index order, so signed zeros, infinities, NaN and subnormals
+    # land exactly where the dense-coefficient scan puts them.
+    specials = [0.0, -0.0, float("inf"), -float("inf"), float("nan"),
+                5e-324, -5e-324, 2.2e-308, 1e308, -1e308, 1.0, -2.5]
+    rng = np.random.default_rng(11)
+    bits = lambda v: struct.pack("<d", v)
+    for m in list(range(1, 17)) + [64]:
+        plan = generate_plan(m)
+        for _ in range(10):
+            taps = rng.choice(specials, size=m).tolist()
+            want = []
+            for term in plan.diag:
+                total = 0.0
+                for wi, c in zip(taps, term.coeffs):
+                    if c > 0:
+                        total = total + wi
+                    elif c < 0:
+                        total = total - wi
+                want.append(total / 2 if term.halved else total)
+            got = precompute_diagonal(plan, taps).s
+            assert [bits(v) for v in got] == [bits(v) for v in want]
+
+
+def test_diagonal_rejects_text_taps():
+    plan = generate_plan(3)
+    for taps, exact in ((["1", "2", "3"], False), ([1, "1/3", 2], True), ([1, 2, b"3"], False)):
+        with pytest.raises(TypeError):
+            precompute_diagonal(plan, taps, exact=exact)

@@ -200,3 +200,21 @@ def test_json_rejects_malformed_documents():
     for text in ("", "not json", "[]", '{"m": 3}'):
         with pytest.raises(ValueError):
             plan_from_json(text)
+
+
+def test_validate_flags_every_single_sign_flip():
+    # Every nonzero of a_pre and a_post carries weight in the identity, so
+    # negating any one of them must be reported as an identity violation.
+    for m in range(1, 13):
+        plan = generate_plan(m)
+        for name in ("a_pre", "a_post"):
+            matrix = getattr(plan, name)
+            for r, c in zip(*np.nonzero(matrix)):
+                bad = matrix.copy()
+                bad[r, c] = -bad[r, c]
+                report = validate_plan(replace(plan, **{name: bad}))
+                assert any("identity" in msg for msg in report.failures), (m, name, r, c)
+
+
+def test_validate_large_plan():
+    assert validate_plan(generate_plan(1024)).ok
