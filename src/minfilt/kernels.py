@@ -9,10 +9,12 @@ Two scalar modes share one code path:
   values stay dyadic rationals and equality checks against the direct method
   are exact.
 
-``apply_basic_op`` is the per-window scalar kernel.  Float ``fir_filter``
-runs the same stages over the whole signal at once (see ``stream``); finite,
-infinite and signed-zero outputs are bit-identical to this kernel's, and a
-NaN output is NaN at the same position, with sign and payload unspecified.
+``apply_basic_op`` is the per-window scalar kernel, the reference the
+executor is held to; ``fir_filter`` does not call it but runs the same stages
+over the whole signal at once, in either arithmetic (see ``stream``).  Exact
+outputs are the same ``Fraction`` values.  Float finite, infinite and
+signed-zero outputs are bit-identical to this kernel's, and a NaN output is
+NaN at the same position, with sign and payload unspecified.
 
 ``OpCounter`` instruments the very path that computes the result, split by
 stage: each multiplication counts where it happens, each addition of

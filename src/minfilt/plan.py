@@ -260,23 +260,22 @@ def _check_structure(plan: KernelPlan, fail: list[str]) -> None:
         if mat.size and np.abs(np.asarray(mat, dtype=np.int64)).max() > 1:
             fail.append(f"ternary-entry violation: {name} has an entry outside {{-1, 0, +1}}")
 
-    for k, term in enumerate(plan.diag):
-        coeffs = np.asarray(term.coeffs, dtype=np.int64)
-        if coeffs.shape != (plan.m,):
-            fail.append(f"dimension violation: diag term {k} has {coeffs.size} coefficients, expected {plan.m}")
+    for k, (term, row) in enumerate(zip(plan.diag, plan.diag_rows)):
+        if len(term.coeffs) != plan.m:
+            fail.append(f"dimension violation: diag term {k} has {len(term.coeffs)} coefficients, expected {plan.m}")
             continue
-        if coeffs.size and np.abs(coeffs).max() > 1:
+        if any(abs(c) > 1 for _, c in row):
             fail.append(f"ternary-entry violation: diag term {k} coefficient outside {{-1, 0, +1}}")
-        if term.halved and not _is_halvable(coeffs):
+        if term.halved and not _is_halvable(row):
             fail.append(f"diag term {k} is halved but is not of the form (w[a] +/- w[a+1] + w[a+2]) / 2")
 
 
-def _is_halvable(coeffs: np.ndarray) -> bool:
-    nz = np.flatnonzero(coeffs)
-    if len(nz) != 3 or nz[2] - nz[0] != 2 or nz[1] - nz[0] != 1:
+def _is_halvable(row: tuple[tuple[int, int], ...]) -> bool:
+    # The sparse row must be exactly ((a, 1), (a+1, +-1), (a+2, 1)).
+    if len(row) != 3:
         return False
-    a = nz[0]
-    return coeffs[a] == 1 and coeffs[a + 2] == 1 and coeffs[a + 1] in (-1, 1)
+    (a, first), (b, middle), (c, last) = row
+    return (b, c) == (a + 1, a + 2) and first == last == 1 and middle in (-1, 1)
 
 
 def _check_identity(plan: KernelPlan, fail: list[str]) -> None:
@@ -358,7 +357,7 @@ def plan_from_json(text: str) -> KernelPlan:
             DiagonalTerm(tuple(int(c) for c in t["coeffs"]), bool(t["halved"]))
             for t in doc["diag"]
         )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed plan document: {exc}") from exc
     a_pre.flags.writeable = False
     a_post.flags.writeable = False

@@ -2,6 +2,7 @@
 
 import json
 
+from minfilt import generate_plan, plan_to_json
 from minfilt.cli import main
 
 
@@ -90,11 +91,16 @@ def test_verify_flags_nonternary_plan(tmp_path, capsys):
 
 
 def test_verify_rejects_malformed_plan_file(tmp_path, capsys):
+    # Numbers that overflow while parsing (an infinite m, an a_pre entry
+    # outside int8) are a malformed document too, not a failed verification.
+    doc = json.loads(plan_to_json(generate_plan(3)))
+    doc["a_pre"][0][0] = 300
     target = tmp_path / "p.json"
-    target.write_text("not json")
-    code, _, err = run(capsys, "verify", "--plan-file", str(target))
-    assert code == 2
-    assert "malformed" in err
+    for text in ("not json", '{"m": 1e400}', json.dumps(doc)):
+        target.write_text(text)
+        code, _, err = run(capsys, "verify", "--plan-file", str(target))
+        assert code == 2
+        assert "malformed" in err
 
 
 def test_filter_modes_agree(tmp_path, capsys):

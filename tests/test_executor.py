@@ -1,8 +1,15 @@
-"""The whole-signal float executor against the per-window scalar kernel."""
+"""The whole-signal executor against the per-window scalar kernel.
+
+``fir_filter`` runs one stage pipeline in both arithmetics: float outputs must
+match ``apply_basic_op`` window by window bit for bit, exact outputs must stay
+``Fraction`` and equal the direct method, and in both modes the operation
+counts must equal the per-window sum.
+"""
 
 import functools
 import math
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -74,7 +81,9 @@ def test_nonfinite_contract():
 
 def test_hand_built_plan_with_shared_and_empty_rows():
     # Two products read the same lone sample and one a_pre row is empty:
-    # the executor must neither scale one shared array twice nor fail.
+    # the executor must neither scale one shared array twice nor fail.  In
+    # both arithmetics an empty row is that arithmetic's zero; an empty
+    # a_post row shows it directly, so exact mode must give Fraction(0).
     base = generate_plan(1)
     plan = KernelPlan(
         m=1,
@@ -83,9 +92,18 @@ def test_hand_built_plan_with_shared_and_empty_rows():
         a_post=np.array([[1, 0, 1], [0, 1, 1]], dtype=np.int8),
         diag=(DiagonalTerm((1,), False),) * 3,
     )
-    kernel = precompute_diagonal(plan, [3.0])
+    no_y1 = replace(plan, a_post=np.array([[1, 0, 1], [0, 0, 0]], dtype=np.int8))
     signal = [1.0, 2.0, -0.5, 4.0, 8.0]
-    assert fir_filter(kernel, signal) == per_window(kernel, signal) == [3.0, 3.0, -1.5, -1.5, 24.0]
+    for exact, kind in ((False, float), (True, Fraction)):
+        kernel = precompute_diagonal(plan, [3.0], exact=exact)
+        got = fir_filter(kernel, signal)
+        assert got == per_window(kernel, signal) == [3.0, 3.0, -1.5, -1.5, 24.0]
+        assert all(type(v) is kind for v in got)
+
+        kernel = precompute_diagonal(no_y1, [3.0], exact=exact)
+        got = fir_filter(kernel, signal)
+        assert got == per_window(kernel, signal) == [3.0, 0, -1.5, 0, 24.0]
+        assert all(type(v) is kind for v in got)
 
 
 # Values: mostly moderate, sometimes extreme or non-finite.
@@ -94,12 +112,17 @@ values = st.one_of(st.floats(-1e6, 1e6), st.floats(width=64))
 
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), m=st.one_of(st.integers(1, 40), st.just(1024)),
-       extra=st.integers(0, 64), kind=st.sampled_from(["list", "int-list", "ndarray"]))
+       extra=st.integers(0, 64),
+       kind=st.sampled_from(["list", "int-list", "ndarray", "fraction-list"]))
 def test_float_executor_equals_scalar_kernel(data, m, extra, kind):
     taps = data.draw(arrays(np.float64, m, elements=values))
     if kind == "int-list":
         signal = data.draw(arrays(np.int64, m + extra,
                                   elements=st.integers(-2**62, 2**62))).tolist()
+    elif kind == "fraction-list":
+        # Mostly not dyadic, so each sample is rounded to float on the way in.
+        signal = data.draw(st.lists(st.fractions(-2**62, 2**62, max_denominator=3**20),
+                                    min_size=m + extra, max_size=m + extra))
     else:
         signal = data.draw(arrays(np.float64, m + extra, elements=values))
         if kind == "list":
@@ -116,11 +139,26 @@ def test_float_executor_equals_scalar_kernel(data, m, extra, kind):
 
 
 @settings(max_examples=40, deadline=None)
-@given(data=st.data(), m=st.integers(1, 40), extra=st.integers(0, 64))
-def test_exact_mode_stays_exact(data, m, extra):
+@given(data=st.data(), m=st.integers(1, 40), extra=st.integers(0, 64),
+       kind=st.sampled_from(["list", "int-list", "ndarray", "fraction-list"]))
+def test_exact_mode_stays_exact(data, m, extra, kind):
     ints = st.integers(-2**20, 2**20)
+    n = m + extra
     taps = data.draw(st.lists(ints, min_size=m, max_size=m))
-    signal = data.draw(st.lists(ints, min_size=m + extra, max_size=m + extra))
-    got = fir_filter(precompute_diagonal(plan_for(m), taps, exact=True), signal)
+    if kind == "list":
+        signal = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
+    elif kind == "int-list":
+        signal = data.draw(st.lists(ints, min_size=n, max_size=n))
+    elif kind == "ndarray":
+        signal = data.draw(arrays(np.int64, n, elements=ints))
+    else:
+        signal = [Fraction(k, 3) for k in data.draw(st.lists(ints, min_size=n, max_size=n))]
+    kernel = precompute_diagonal(plan_for(m), taps, exact=True)
+
+    counter, window_counter = OpCounter(), OpCounter()
+    got = fir_filter(kernel, signal, counter)
+    want = per_window(kernel, signal, window_counter)
+
     assert all(type(v) is Fraction for v in got)
-    assert got == naive_fir(signal, taps, exact=True)
+    assert got == want == naive_fir(signal, taps, exact=True)
+    assert counter == window_counter

@@ -1,4 +1,4 @@
-"""Smoke run of the benchmark: its bit-for-bit gate and op-count cross-check."""
+"""Smoke runs of the benchmark: its output gates and op-count cross-check."""
 
 import json
 import subprocess
@@ -9,14 +9,16 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_traced_stream_workload_passes_its_gate():
-    # The traced run counts one fir_filter call with OpCounter and fails
+    # Each traced run counts one fir_filter call with OpCounter and fails
     # unless mults = P and adds = pre + post = count_proposed per window.
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "stream_m11",
-         "--seed", "1", "--seconds", "1", "--trace", "1"],
-        cwd=ROOT, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result["correct"] is True
-    assert result["attempted"] > 0 and result["failed"] == 0
+    # Float and exact mode share one executor, so both workloads run.
+    for workload in ("stream_m11", "verify_exact"):
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload,
+             "--seed", "1", "--seconds", "1", "--trace", "1"],
+            cwd=ROOT, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, (workload, proc.stderr)
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert result["correct"] is True
+        assert result["attempted"] > 0 and result["failed"] == 0

@@ -135,12 +135,26 @@ def test_validate_flags_nonternary_entry():
     assert not report.ok
     assert any("ternary" in msg for msg in report.failures)
 
+    terms = list(plan.diag)
+    terms[1] = DiagonalTerm((0, 2, 0), False)
+    report = validate_plan(replace(plan, diag=tuple(terms)))
+    assert report.failures == [
+        "ternary-entry violation: diag term 1 coefficient outside {-1, 0, +1}"
+    ]
+
 
 def test_validate_flags_bad_shape():
     plan = generate_plan(3)
     report = validate_plan(replace(plan, a_post=plan.a_post[:, :3].copy()))
     assert not report.ok
     assert any("dimension" in msg for msg in report.failures)
+
+    terms = list(plan.diag)
+    terms[2] = DiagonalTerm((1, 0), False)
+    report = validate_plan(replace(plan, diag=tuple(terms)))
+    assert report.failures == [
+        "dimension violation: diag term 2 has 2 coefficients, expected 3"
+    ]
 
 
 def test_validate_flags_identity_violation():
@@ -197,7 +211,9 @@ def test_json_round_trip_preserves_semantics():
 
 
 def test_json_rejects_malformed_documents():
-    for text in ("", "not json", "[]", '{"m": 3}'):
+    doc = json.loads(plan_to_json(generate_plan(3)))
+    doc["a_pre"][0][0] = 300  # outside int8
+    for text in ("", "not json", "[]", '{"m": 3}', '{"m": 1e400}', json.dumps(doc)):
         with pytest.raises(ValueError):
             plan_from_json(text)
 
