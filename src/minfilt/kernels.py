@@ -32,6 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .plan import KernelPlan
 
 __all__ = [
@@ -64,7 +66,9 @@ class OpCounter:
 
 def _coerce(values: Sequence, exact: bool) -> list:
     if exact:
-        return [Fraction(v) for v in values]
+        # Fraction keeps a numpy integer as its numerator, which then wraps at
+        # its fixed width; a Python int grows.
+        return [Fraction(int(v) if isinstance(v, np.integer) else v) for v in values]
     return [float(v) for v in values]
 
 

@@ -3,6 +3,7 @@
 import json
 
 from minfilt import generate_plan, plan_to_json
+from minfilt import cli
 from minfilt.cli import main
 
 
@@ -88,6 +89,26 @@ def test_verify_flags_nonternary_plan(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--plan-file", str(target), "--trials", "5")
     assert code == 1
     assert "ternary" in out
+
+
+def test_verify_runs_the_shipped_executor(monkeypatch, capsys):
+    # A valid plan with a faulty fir_filter must fail in both modes: one
+    # wrong output is one failing window.  The first output at m=3, seed 0
+    # is small enough that +1 also breaks the float tolerance.
+    shipped = cli.fir_filter
+
+    def off_by_one(kernel, signal, counter=None):
+        out = shipped(kernel, signal, counter)
+        out[0] += 1
+        return out
+
+    monkeypatch.setattr(cli, "fir_filter", off_by_one)
+    code, out, _ = run(capsys, "verify", "-m", "3", "--trials", "25")
+    assert code == 1
+    lines = out.strip().splitlines()
+    assert "exact: FAIL (1 identity violations)" in lines[0]
+    assert "float: FAIL (1 identity violations)" in lines[0]
+    assert lines[-1] == "verify: FAIL"
 
 
 def test_verify_rejects_malformed_plan_file(tmp_path, capsys):

@@ -162,3 +162,24 @@ def test_exact_mode_stays_exact(data, m, extra, kind):
     assert all(type(v) is Fraction for v in got)
     assert got == want == naive_fir(signal, taps, exact=True)
     assert counter == window_counter
+
+
+# Zero, or 1e-100 <= |v| <= 1e6 with mixed magnitudes, so no product underflows.
+mixed = st.one_of(st.just(0.0), st.floats(1e-100, 1e6), st.floats(-1e6, -1e-100))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), m=st.one_of(st.integers(1, 40), st.just(1024)),
+       extra=st.integers(0, 64))
+def test_float_executor_error_against_direct_method(data, m, extra):
+    # The bound scales with sum|w| * max|x|, not with |y| or sum|w_i x_i|:
+    # the PAIR2 block cancels x[t+1] * w[t] terms, so an output can be far
+    # smaller than the values the kernel adds on the way.
+    taps = data.draw(arrays(np.float64, m, elements=mixed))
+    signal = data.draw(arrays(np.float64, m + extra, elements=mixed))
+    got = fir_filter(precompute_diagonal(plan_for(m), taps.tolist()), signal)
+    want = naive_fir(signal, taps)
+
+    bound = 1e-12 * np.abs(taps).sum() * np.abs(signal).max()
+    assert len(got) == len(want)
+    assert all(abs(g - h) <= bound for g, h in zip(got, want))

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from minfilt import apply_basic_op_naive, naive_fir
+from minfilt import (
+    apply_basic_op_naive,
+    fir_filter,
+    generate_plan,
+    naive_fir,
+    precompute_diagonal,
+)
 
 
 def test_moving_sum_example():
@@ -36,6 +42,15 @@ def test_exact_mode_returns_exact_types():
     out = naive_fir([1, 2, 3, 4], [1, 1, 1], exact=True)
     assert out == [6, 9]
     assert all(not isinstance(v, float) for v in out)
+
+    # numpy integers, alone or in an ndarray, must not wrap once products
+    # pass 2**63, in the reference or the executor.
+    x, w = [2**40] * 3 + [1], [2**40, 1, 1]
+    want = [2**80 + 2**41, 2**80 + 2**40 + 1]
+    for signal, taps in ((np.array(x), np.array(w)), (list(np.array(x)), list(np.array(w))),
+                         (np.array(x), w)):
+        kernel = precompute_diagonal(generate_plan(3), taps, exact=True)
+        assert naive_fir(signal, taps, exact=True) == fir_filter(kernel, signal) == want
 
 
 def test_windows_match_the_two_output_primitive():
