@@ -11,7 +11,6 @@ from .kernels import (
     OpCounter,
     PreparedKernel,
     apply_basic_op,
-    apply_basic_op_naive,
     is_dyadic,
     precompute_diagonal,
 )
@@ -27,7 +26,7 @@ from .plan import (
     plan_to_json,
     validate_plan,
 )
-from .reference import naive_fir
+from .reference import apply_basic_op_naive, naive_fir
 from .stream import fir_filter
 
 __version__ = "0.1.0"

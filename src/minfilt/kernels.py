@@ -17,13 +17,14 @@ signed-zero outputs are bit-identical to this kernel's, and a NaN output is
 NaN at the same position, with sign and payload unspecified.
 
 ``OpCounter`` instruments the very path that computes the result, split by
-stage: each multiplication counts where it happens, each addition of
-``a_pre`` and ``a_post`` is tallied by the row sum that makes it, and the
-tallies go to the counter when the stage ends.  In the whole-signal
-executor one vector operation over W windows counts as W scalar
-operations.  The counted arithmetic is thus the shipped arithmetic.  Sign
-flips on ternary-matrix entries are not multiplications and are not
-counted.
+stage, and each stage adds its counts once, when it ends: the products are
+the length of ``mu``, and each addition of ``a_pre`` and ``a_post`` is
+tallied by the row sum that makes it.  In the whole-signal executor one
+vector operation over W windows counts as W scalar operations.  The counted
+arithmetic is thus the shipped arithmetic.  Sign flips on ternary-matrix
+entries are not multiplications and are not counted.  The direct method
+(``reference.apply_basic_op_naive``) counts its 2m products and 2(m-1)
+additions from its loop shape: two outputs of m products summed in order.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
     "PreparedKernel",
     "precompute_diagonal",
     "apply_basic_op",
-    "apply_basic_op_naive",
     "is_dyadic",
 ]
 
@@ -138,43 +138,13 @@ def apply_basic_op(kernel: PreparedKernel, tile: Sequence, counter: OpCounter | 
     zero = Fraction(0) if kernel.exact else 0.0
 
     t, pre_adds = _apply_ternary(plan.pre_rows, x, zero)
-    mu = []
-    for sk, tk in zip(kernel.s, t):
-        mu.append(sk * tk)
-        if counter is not None:
-            counter.mults += 1
+    mu = [sk * tk for sk, tk in zip(kernel.s, t)]
     y, post_adds = _apply_ternary(plan.post_rows, mu, zero)
     if counter is not None:
         counter.pre_adds += pre_adds
+        counter.mults += len(mu)
         counter.post_adds += post_adds
     return y[0], y[1]
-
-
-def apply_basic_op_naive(taps: Sequence, tile: Sequence, exact: bool = False,
-                         counter: OpCounter | None = None):
-    """Direct evaluation of the two adjacent outputs: 2m multiplications.
-
-    Summation runs in index order.  This is the ground truth the factorized
-    kernels are checked against.
-    """
-    m = len(taps)
-    if len(tile) != m + 1:
-        raise ValueError(f"window must have {m + 1} samples, got {len(tile)}")
-    w = _coerce(taps, exact)
-    x = _coerce(tile, exact)
-
-    def dot(offset: int):
-        acc = x[offset] * w[0]
-        if counter is not None:
-            counter.mults += 1
-        for i in range(1, m):
-            acc = acc + x[i + offset] * w[i]
-            if counter is not None:
-                counter.mults += 1
-                counter.post_adds += 1
-        return acc
-
-    return dot(0), dot(1)
 
 
 def is_dyadic(value) -> bool:

@@ -175,10 +175,9 @@ class KernelPlan:
 
 
 def _sparse_rows(matrix: np.ndarray) -> tuple[tuple[tuple[int, int], ...], ...]:
-    mat = np.asarray(matrix, dtype=np.int64)
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(mat.shape[0])]
-    rr, cc = np.nonzero(mat)
-    for r, c, v in zip(rr.tolist(), cc.tolist(), mat[rr, cc].tolist()):
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(matrix.shape[0])]
+    rr, cc = np.nonzero(matrix)
+    for r, c, v in zip(rr.tolist(), cc.tolist(), matrix[rr, cc].tolist()):
         rows[r].append((c, v))
     return tuple(tuple(row) for row in rows)
 
@@ -256,9 +255,12 @@ def _check_structure(plan: KernelPlan, fail: list[str]) -> None:
     if plan.a_post.ndim != 2 or plan.a_post.shape != (2, p):
         fail.append(f"dimension violation: a_post shape {plan.a_post.shape}, expected {(2, p)}")
 
-    for name, mat in (("a_pre", plan.a_pre), ("a_post", plan.a_post)):
-        if mat.size and np.abs(np.asarray(mat, dtype=np.int64)).max() > 1:
-            fail.append(f"ternary-entry violation: {name} has an entry outside {{-1, 0, +1}}")
+    for name in ("pre", "post"):
+        # A matrix that is not 2-D has failed the dimension check and has no rows.
+        if getattr(plan, f"a_{name}").ndim != 2:
+            continue
+        if any(abs(v) > 1 for row in getattr(plan, f"{name}_rows") for _, v in row):
+            fail.append(f"ternary-entry violation: a_{name} has an entry outside {{-1, 0, +1}}")
 
     for k, (term, row) in enumerate(zip(plan.diag, plan.diag_rows)):
         if len(term.coeffs) != plan.m:

@@ -2,16 +2,17 @@
 
 Correlation-style indexing throughout: output[j] = sum_i x[i+j] * w[i], with
 no tap reversal, valid positions only (N - m + 1 outputs).  Every equivalence
-check in the package compares against this implementation.
+check in the package compares against this implementation: ``naive_fir`` over a
+whole signal, ``apply_basic_op_naive`` over one window of two outputs.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .kernels import _coerce
+from .kernels import OpCounter, _coerce
 
-__all__ = ["naive_fir"]
+__all__ = ["naive_fir", "apply_basic_op_naive"]
 
 
 def naive_fir(signal: Sequence, taps: Sequence, exact: bool = False) -> list:
@@ -35,3 +36,21 @@ def naive_fir(signal: Sequence, taps: Sequence, exact: bool = False) -> list:
             acc = acc + x[i + j] * w[i]
         out.append(acc)
     return out
+
+
+def apply_basic_op_naive(taps: Sequence, tile: Sequence, exact: bool = False,
+                         counter: OpCounter | None = None):
+    """Direct evaluation of the two adjacent outputs: 2m multiplications.
+
+    ``naive_fir`` over the one (m+1)-sample window, so summation runs in index
+    order.  This is the ground truth the factorized kernels are checked
+    against.  Raises ValueError on a wrong window length or an empty filter.
+    """
+    m = len(taps)
+    if len(tile) != m + 1:
+        raise ValueError(f"window must have {m + 1} samples, got {len(tile)}")
+    y0, y1 = naive_fir(tile, taps, exact)
+    if counter is not None:
+        counter.mults += 2 * m
+        counter.post_adds += 2 * (m - 1)
+    return y0, y1

@@ -44,6 +44,8 @@ def test_verify_published_sizes(capsys):
     assert len(lines) == 4
     for line in lines[:3]:
         assert "exact: PASS" in line and "float: PASS" in line
+        # The float half rounds, so its error is measured, not 0.
+        assert 0 < float(line.split("max_rel_err=")[1].split()[0]) <= 1e-12
     assert lines[-1] == "verify: PASS"
 
 
@@ -93,8 +95,8 @@ def test_verify_flags_nonternary_plan(tmp_path, capsys):
 
 def test_verify_runs_the_shipped_executor(monkeypatch, capsys):
     # A valid plan with a faulty fir_filter must fail in both modes: one
-    # wrong output is one failing window.  The first output at m=3, seed 0
-    # is small enough that +1 also breaks the float tolerance.
+    # wrong output is one failing window.  The float bound scales with the
+    # normal draws, so +1 is far past it.
     shipped = cli.fir_filter
 
     def off_by_one(kernel, signal, counter=None):

@@ -82,6 +82,9 @@ def test_naive_one_hot_taps():
 def test_naive_rejects_wrong_window_length():
     with pytest.raises(ValueError):
         apply_basic_op_naive([1, 1, 1], [1, 2, 3, 4, 5])
+    # An empty filter has a one-sample window but no direct method.
+    with pytest.raises(ValueError):
+        apply_basic_op_naive([], [1.0])
 
 
 def test_exact_equivalence_random_trials():

@@ -156,6 +156,13 @@ def test_validate_flags_bad_shape():
         "dimension violation: diag term 2 has 2 coefficients, expected 3"
     ]
 
+    # A matrix that is not 2-D has no rows to check; nothing raises.
+    for bad in (plan.a_pre[0].copy(), np.array(1, dtype=np.int8)):
+        report = validate_plan(replace(plan, a_pre=bad))
+        assert report.failures == [
+            f"dimension violation: a_pre shape {bad.shape}, expected (4, 4)"
+        ]
+
 
 def test_validate_flags_identity_violation():
     # A sign flip keeps every structural invariant but breaks the arithmetic.
