@@ -153,25 +153,17 @@ def cmd_filter(args) -> int:
 
 
 def cmd_table(args) -> int:
-    m_list = _parse_m_list(args.taps_count)
-    rows = []
-    max_fan_in = 5
-    for m in m_list:
-        plan = generate_plan(m)
-        rows.append((m, count_naive(m), count_proposed(plan)))
-        if rows[-1][2].adders:
-            max_fan_in = max(max_fan_in, max(rows[-1][2].adders))
-    fan_ins = list(range(2, max_fan_in + 1))
-    savings = {r.m: r.savings_pct for r in savings_report(m_list)}
+    report = savings_report(_parse_m_list(args.taps_count))
+    rows = [(r, count_naive(r.m), count_proposed(generate_plan(r.m))) for r in report]
+    fan_ins = range(2, max([5, *(f for _, _, prop in rows for f in prop.adders)]) + 1)
 
-    out = []
     header = ["M", "naive_mult", "naive_adders(M-input)", "prop_mult"]
     header += [f"adders_{f}in" for f in fan_ins] + ["savings_pct"]
-    out.append("\t".join(header))
-    for m, naive, prop in rows:
-        cells = [m, naive.multipliers, naive.adders.get(m, 0), prop.multipliers]
+    out = ["\t".join(header)]
+    for r, naive, prop in rows:
+        cells = [r.m, r.naive_multipliers, naive.adders.get(r.m, 0), r.proposed_multipliers]
         cells += [prop.adders.get(f, 0) for f in fan_ins]
-        cells.append(f"{savings[m]:.1f}")
+        cells.append(f"{r.savings_pct:.1f}")
         out.append("\t".join(str(c) for c in cells))
 
     out.append("")

@@ -47,17 +47,15 @@ class OpCount:
         return sum((fan_in - 1) * count for fan_in, count in self.adders.items())
 
 
-def _histogram(counts: dict[int, int]) -> Mapping[int, int]:
-    clean = {k: v for k, v in sorted(counts.items()) if v}
-    return MappingProxyType(clean)
+def _histogram(counts: Mapping[int, int]) -> Mapping[int, int]:
+    # A row with fan-in 1 passes its one input on and needs no adder.
+    return MappingProxyType({f: n for f, n in sorted(counts.items()) if f > 1})
 
 
 def count_naive(m: int) -> OpCount:
     """Direct method: 2m multipliers and two m-input output adders."""
     if m < 1:
         raise ValueError(f"tap count must be >= 1, got {m}")
-    if m == 1:
-        return OpCount(2, _histogram({}))
     return OpCount(2 * m, _histogram({m: 2}))
 
 
@@ -75,8 +73,7 @@ def count_proposed(plan: KernelPlan) -> OpCount:
         fan_ins += [_fan_in(row) for t in templates for row in t.a_post]
         if len(templates) > 1:
             fan_ins += [len(templates)] * 2
-    # A row with fan-in 1 passes its one input on and needs no adder.
-    return OpCount(plan.p, _histogram(Counter(f for f in fan_ins if f > 1)))
+    return OpCount(plan.p, _histogram(Counter(fan_ins)))
 
 
 @dataclass(frozen=True)

@@ -330,8 +330,8 @@ def plan_to_json(plan: KernelPlan) -> str:
     doc = {
         "m": plan.m,
         "blocks": [{"kind": b.kind.value, "offset": b.tap_offset} for b in plan.blocks],
-        "a_pre": [[int(v) for v in row] for row in plan.a_pre],
-        "a_post": [[int(v) for v in row] for row in plan.a_post],
+        "a_pre": plan.a_pre.tolist(),
+        "a_post": plan.a_post.tolist(),
         "diag": [
             {"coeffs": [int(c) for c in t.coeffs], "halved": t.halved} for t in plan.diag
         ],
@@ -339,28 +339,49 @@ def plan_to_json(plan: KernelPlan) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
+def _typed(value, kind: type):
+    # The exact type: a bool is an int to Python, but not a JSON integer.
+    if type(value) is not kind:
+        raise ValueError(f"expected a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
+def _int8_matrix(rows) -> np.ndarray:
+    # Any rectangular nesting loads, so that validate_plan can report its shape.
+    cells = np.array(rows, dtype=object)
+    for v in cells.flat:
+        if type(v) is not int or not -128 <= v <= 127:
+            raise ValueError(f"matrix entry {v!r} is not a JSON integer in int8")
+    matrix = cells.astype(np.int8)
+    matrix.flags.writeable = False
+    return matrix
+
+
 def plan_from_json(text: str) -> KernelPlan:
     """Parse a plan document.
 
     Only the schema is enforced here; semantic invariants are left to
     ``validate_plan`` so that a corrupted document can still be loaded and
-    reported on.
+    reported on.  The schema admits exactly the value types ``plan_to_json``
+    writes: JSON integers (not booleans) for ``m``, offsets, matrix entries
+    and coefficients, with matrix entries in int8, and JSON booleans for
+    ``halved``.  Anything else raises ValueError.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed plan document: {exc}") from exc
     try:
-        m = int(doc["m"])
-        blocks = tuple(Block(BlockKind(b["kind"]), int(b["offset"])) for b in doc["blocks"])
-        a_pre = np.array(doc["a_pre"], dtype=np.int8)
-        a_post = np.array(doc["a_post"], dtype=np.int8)
+        m = _typed(doc["m"], int)
+        blocks = tuple(
+            Block(BlockKind(b["kind"]), _typed(b["offset"], int)) for b in doc["blocks"]
+        )
+        a_pre = _int8_matrix(doc["a_pre"])
+        a_post = _int8_matrix(doc["a_post"])
         diag = tuple(
-            DiagonalTerm(tuple(int(c) for c in t["coeffs"]), bool(t["halved"]))
+            DiagonalTerm(tuple(_typed(c, int) for c in t["coeffs"]), _typed(t["halved"], bool))
             for t in doc["diag"]
         )
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ValueError(f"malformed plan document: {exc}") from exc
-    a_pre.flags.writeable = False
-    a_post.flags.writeable = False
     return KernelPlan(m, blocks, a_pre, a_post, diag)

@@ -63,7 +63,8 @@ def fir_filter(kernel: PreparedKernel, signal: Sequence,
     """Compute all N - m + 1 valid outputs via ceil((N-m+1)/2) basic ops.
 
     Returns a list of Python floats, or of ``Fraction`` in exact mode.
-    Raises ValueError when the signal is shorter than the filter.
+    Raises ValueError when the signal is shorter than the filter and, in
+    float mode, TypeError when it holds complex values.
     """
     m = kernel.plan.m
     n = len(signal)
@@ -74,7 +75,12 @@ def fir_filter(kernel: PreparedKernel, signal: Sequence,
     if kernel.exact:
         zero, samples = Fraction(0), _coerce(signal, True)
     else:
-        zero, samples = 0.0, np.asarray(signal, dtype=np.float64)
+        # Casting complex values to float64 would only warn and drop the
+        # imaginary part.  A float64 ndarray passes through uncopied.
+        zero, samples = 0.0, np.asarray(signal)
+        if samples.dtype.kind == "c":
+            raise TypeError("signal must be real, got complex values")
+        samples = samples.astype(np.float64, copy=False)
     padded = np.full(2 * windows + m - 1, zero)
     padded[:n] = samples
     columns = [padded[j : j + 2 * windows : 2] for j in range(m + 1)]

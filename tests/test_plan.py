@@ -217,12 +217,46 @@ def test_json_round_trip_preserves_semantics():
     assert validate_plan(loaded).ok
 
 
+def _edited_plan3(*path_and_value) -> str:
+    # The m = 3 plan document with the entry at the key path set to the value.
+    *path, key, value = path_and_value
+    doc = json.loads(plan_to_json(generate_plan(3)))
+    target = doc
+    for k in path:
+        target = target[k]
+    target[key] = value
+    return json.dumps(doc)
+
+
 def test_json_rejects_malformed_documents():
     doc = json.loads(plan_to_json(generate_plan(3)))
     doc["a_pre"][0][0] = 300  # outside int8
-    for text in ("", "not json", "[]", '{"m": 3}', '{"m": 1e400}', json.dumps(doc)):
-        with pytest.raises(ValueError):
+    texts = ["", "not json", "[]", '{"m": 3}', '{"m": 1e400}', json.dumps(doc)]
+    # Value types plan_to_json never writes are malformed, not coerced.
+    texts += [
+        _edited_plan3("a_pre", 0, 0, 1.5),
+        _edited_plan3("a_post", 0, 0, True),
+        _edited_plan3("diag", 0, "coeffs", 0, 1.9),
+        _edited_plan3("m", 3.7),
+        _edited_plan3("diag", 1, "halved", "false"),
+        _edited_plan3("blocks", 0, "offset", "0"),
+    ]
+    for text in texts:
+        with pytest.raises(ValueError, match="malformed"):
             plan_from_json(text)
+
+
+def test_json_loads_invalid_plans_for_validation():
+    # Integer documents load whatever they mean, so validate_plan can report
+    # an entry of 2, a wrong shape or a short diagonal term.
+    cases = [
+        (_edited_plan3("a_pre", 0, 0, 2), "ternary-entry"),
+        (_edited_plan3("a_pre", [[1, 0, -1, 0]]), "a_pre shape"),
+        (_edited_plan3("diag", 0, "coeffs", [1, 0]), "2 coefficients"),
+    ]
+    for text, message in cases:
+        report = validate_plan(plan_from_json(text))
+        assert any(message in msg for msg in report.failures), report.failures
 
 
 def test_validate_flags_every_single_sign_flip():

@@ -34,6 +34,15 @@ def test_rejects_short_signal():
         fir_filter(kernel, [1, 2, 3, 4])
 
 
+def test_float_mode_rejects_complex_signal():
+    # Casting to float64 would drop the imaginary parts and give [14.0, 20.0].
+    kernel = precompute_diagonal(generate_plan(3), [1, 2, 3])
+    signals = (np.array([1 + 5j, 2, 3, 4]), [np.complex128(1 + 5j), 2, 3, 4], [1 + 5j, 2, 3, 4])
+    for signal in signals:
+        with pytest.raises(TypeError):
+            fir_filter(kernel, signal)
+
+
 def test_matches_reference_for_all_lengths():
     rng = np.random.default_rng(21)
     for m in (3, 5, 7, 9, 11):
