@@ -25,9 +25,14 @@ print()
 print("a_post (rows combine the products into y0 and y1):")
 print(plan.a_post)
 print()
-print("Diagonal recipes (coefficient pattern over w, halved flag):")
+print("The plan stores only each row's nonzero (index, sign) pairs; the")
+print("matrices above are derived from them.  a_pre rows as stored:")
+for k, row in enumerate(plan.pre_rows):
+    print(f"  t[{k}]: {row}")
+print()
+print("Diagonal recipes (nonzero (tap index, coefficient) pairs, halved flag):")
 for k, term in enumerate(plan.diag):
-    print(f"  s[{k}]: coeffs={term.coeffs}  halved={term.halved}")
+    print(f"  s[{k}]: row={term.row}  halved={term.halved}")
 print()
 
 taps = [2.0, -1.0, 0.5]

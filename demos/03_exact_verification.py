@@ -5,7 +5,7 @@ two, so with Fraction arithmetic the factorized kernel must equal the direct
 method exactly, not merely within a tolerance.  That turns verification into
 a pure yes or no question.  One random signal asks it of the shipped
 executor, fir_filter, against the direct method, naive_fir; validate_plan
-answers it for the plan itself, by proof from the plan's integer matrices.
+answers it for the plan itself, by proof from the plan's integer rows.
 """
 
 from dataclasses import replace
@@ -48,9 +48,9 @@ print()
 report = validate_plan(plan)
 print(f"validate_plan(generate_plan(5)).ok = {report.ok}")
 
-bad_pre = plan.a_pre.copy()
-bad_pre[0, 0] = -1
-report = validate_plan(replace(plan, a_pre=bad_pre))
+(j, sign), *rest = plan.pre_rows[0]
+bad_rows = (((j, -sign), *rest),) + plan.pre_rows[1:]
+report = validate_plan(replace(plan, pre_rows=bad_rows))
 print("After flipping one matrix sign (structurally still legal):")
 for msg in report.failures:
     print(f"  {msg}")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
-from .plan import KernelPlan, generate_plan
+from .plan import KernelPlan, decompose
 
 __all__ = ["OpCount", "SavingsRow", "count_naive", "count_proposed", "savings_report"]
 
@@ -59,18 +59,14 @@ def count_naive(m: int) -> OpCount:
     return OpCount(2 * m, _histogram({m: 2}))
 
 
-def _fan_in(row) -> int:
-    return sum(1 for v in row if v)
-
-
 def count_proposed(plan: KernelPlan) -> OpCount:
     """Adder histogram and multiplier count of the factorized dataflow."""
     templates = [b.template for b in plan.blocks]
-    fan_ins = [_fan_in(row) for t in templates for row in t.a_pre]
+    fan_ins = [len(row) for t in templates for row in t.a_pre]
     if tuple(sorted(b.kind.value for b in plan.blocks)) in _FUSED_OUTPUT:
-        fan_ins += [sum(_fan_in(t.a_post[r]) for t in templates) for r in range(2)]
+        fan_ins += [sum(len(t.a_post[r]) for t in templates) for r in range(2)]
     else:
-        fan_ins += [_fan_in(row) for t in templates for row in t.a_post]
+        fan_ins += [len(row) for t in templates for row in t.a_post]
         if len(templates) > 1:
             fan_ins += [len(templates)] * 2
     return OpCount(plan.p, _histogram(Counter(fan_ins)))
@@ -88,8 +84,8 @@ def savings_report(m_list: list[int]) -> list[SavingsRow]:
     """Multiplier savings of the factorized method, one row per tap count."""
     rows = []
     for m in m_list:
-        plan = generate_plan(m)
+        p = sum(b.product_count for b in decompose(m))
         naive = count_naive(m)
-        pct = round((1 - plan.p / naive.multipliers) * 100, 1)
-        rows.append(SavingsRow(m, naive.multipliers, plan.p, pct))
+        pct = round((1 - p / naive.multipliers) * 100, 1)
+        rows.append(SavingsRow(m, naive.multipliers, p, pct))
     return rows

@@ -100,9 +100,9 @@ def precompute_diagonal(plan: KernelPlan, taps: Sequence, exact: bool = False) -
     w = _coerce(taps, exact)
     zero = Fraction(0) if exact else 0.0
     s = []
-    for term, row in zip(plan.diag, plan.diag_rows):
+    for term in plan.diag:
         total = zero
-        for i, c in row:
+        for i, c in term.row:
             total = total + w[i] if c > 0 else total - w[i]
         s.append(total / 2 if term.halved else total)
     return PreparedKernel(plan, tuple(s), exact)

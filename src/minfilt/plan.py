@@ -14,7 +14,8 @@ window, and it is smaller than the 2m of the direct method.
 Plans are assembled from three block templates, each a local recipe for a
 contiguous run of taps, kept as data in ``_TEMPLATES``: ``a_pre`` rows over
 the block's taps+1 samples, ``a_post`` rows over its products and one
-diagonal recipe per product.
+diagonal recipe per product.  No row has more than three nonzeros, so plans
+and templates store only each row's nonzero (index, value) pairs.
 
 * ``WINO3`` covers 3 taps with 4 products.  This is Winograd's classic trick
   for two adjacent 3-tap outputs: with t the first tap index,
@@ -46,21 +47,14 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import accumulate, compress
 from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "BlockKind",
-    "Block",
-    "DiagonalTerm",
-    "KernelPlan",
-    "ValidationReport",
-    "decompose",
-    "generate_plan",
-    "validate_plan",
-    "plan_to_json",
-    "plan_from_json",
+    "BlockKind", "Block", "DiagonalTerm", "KernelPlan", "ValidationReport",
+    "decompose", "generate_plan", "validate_plan", "plan_to_json", "plan_from_json",
 ]
 
 
@@ -70,27 +64,36 @@ class BlockKind(Enum):
     PAIR2 = "pair2"
 
 
+# The nonzero (index, value) pairs of one matrix row, in ascending index order.
+_Row = tuple[tuple[int, int], ...]
+
+
 class _Template(NamedTuple):
-    a_pre: tuple[tuple[int, ...], ...]       # products x (taps + 1)
-    a_post: tuple[tuple[int, ...], ...]      # 2 x products
-    diag: tuple[tuple[tuple[int, ...], bool], ...]  # (coeffs over taps, halved)
+    taps: int
+    a_pre: tuple[_Row, ...]               # products rows over taps + 1 samples
+    a_post: tuple[_Row, ...]              # 2 rows over products
+    diag: tuple[tuple[_Row, bool], ...]   # (row over taps, halved) per product
 
 
 _TEMPLATES = {
     BlockKind.WINO3: _Template(
-        a_pre=((1, 0, -1, 0), (0, 1, 1, 0), (0, -1, 1, 0), (0, 1, 0, -1)),
-        a_post=((1, 1, 1, 0), (0, 1, -1, -1)),
-        diag=(((1, 0, 0), False), ((1, 1, 1), True), ((1, -1, 1), True), ((0, 0, 1), False)),
+        taps=3,
+        a_pre=(((0, 1), (2, -1)), ((1, 1), (2, 1)), ((1, -1), (2, 1)), ((1, 1), (3, -1))),
+        a_post=(((0, 1), (1, 1), (2, 1)), ((1, 1), (2, -1), (3, -1))),
+        diag=((((0, 1),), False), (((0, 1), (1, 1), (2, 1)), True),
+              (((0, 1), (1, -1), (2, 1)), True), (((2, 1),), False)),
     ),
     BlockKind.PASS1: _Template(
-        a_pre=((1, 0), (0, 1)),
-        a_post=((1, 0), (0, 1)),
-        diag=(((1,), False), ((1,), False)),
+        taps=1,
+        a_pre=(((0, 1),), ((1, 1),)),
+        a_post=(((0, 1),), ((1, 1),)),
+        diag=((((0, 1),), False), (((0, 1),), False)),
     ),
     BlockKind.PAIR2: _Template(
-        a_pre=((1, -1, 0), (0, 1, 0), (0, -1, 1)),
-        a_post=((1, 1, 0), (0, 1, 1)),
-        diag=(((1, 0), False), ((1, 1), False), ((0, 1), False)),
+        taps=2,
+        a_pre=(((0, 1), (1, -1)), ((1, 1),), ((1, -1), (2, 1))),
+        a_post=(((0, 1), (1, 1)), ((1, 1), (2, 1))),
+        diag=((((0, 1),), False), (((0, 1), (1, 1)), False), (((1, 1),), False)),
     ),
 }
 
@@ -112,7 +115,7 @@ class Block:
 
     @property
     def tap_count(self) -> int:
-        return len(self.template.a_pre[0]) - 1
+        return self.template.taps
 
     @property
     def product_count(self) -> int:
@@ -123,32 +126,31 @@ class Block:
 class DiagonalTerm:
     """Symbolic recipe for one diagonal constant.
 
-    The constant is (sum_i coeffs[i] * w[i]), divided by two when ``halved``.
-    Coefficients are restricted to {-1, 0, +1}; halving only occurs for the
-    three-tap combinations (w[a] +/- w[a+1] + w[a+2]) / 2.
+    ``row`` holds the (tap index, coefficient) pairs of the term's nonzero
+    coefficients, each +-1, in ascending index order.  The constant is
+    sum(c * w[i] for i, c in row), divided by two when ``halved``; halving
+    only occurs for the three-tap combinations (w[a] +/- w[a+1] + w[a+2]) / 2.
     """
 
-    coeffs: tuple[int, ...]
+    row: _Row
     halved: bool
 
 
 @dataclass(frozen=True)
 class KernelPlan:
-    """Factorization of the basic operation for one tap count.
+    """Factorization of the basic operation for one tap count, as sparse rows.
 
-    The plan is a plain data container; ``validate_plan`` checks its
-    invariants.  ``a_pre`` has shape (p, m+1), ``a_post`` shape (2, p), and
-    ``diag`` holds p terms.  Instances returned by ``generate_plan`` and
-    ``plan_from_json`` carry read-only matrices and are safe to share across
-    threads.  ``pre_rows``, ``post_rows`` and ``diag_rows`` are derived from
-    the matrices and coefficients on first use and kept, so a plan must not
-    be changed after it has been used.
+    ``pre_rows`` holds p rows over the m+1 window samples, ``post_rows`` two
+    rows over the p products and ``diag`` p terms; a row is a tuple of
+    (index, +-1) pairs in ascending index order, checked by ``validate_plan``.
+    Plans are immutable, hashable values, safe to share across threads.
+    ``a_pre`` and ``a_post`` are read-only int8 matrices derived on first read.
     """
 
     m: int
     blocks: tuple[Block, ...]
-    a_pre: np.ndarray
-    a_post: np.ndarray
+    pre_rows: tuple[_Row, ...]
+    post_rows: tuple[_Row, ...]
     diag: tuple[DiagonalTerm, ...]
 
     @property
@@ -157,29 +159,21 @@ class KernelPlan:
         return len(self.diag)
 
     @cached_property
-    def pre_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Nonzero (sample index, sign) pairs of each ``a_pre`` row, in index order."""
-        return _sparse_rows(self.a_pre)
+    def a_pre(self) -> np.ndarray:
+        return _dense(self.pre_rows, self.m + 1)
 
     @cached_property
-    def post_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Nonzero (product index, sign) pairs of each ``a_post`` row, in index order."""
-        return _sparse_rows(self.a_post)
-
-    @cached_property
-    def diag_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Nonzero (tap index, coefficient) pairs of each diagonal term, in index order."""
-        return tuple(
-            tuple((i, int(c)) for i, c in enumerate(term.coeffs) if c) for term in self.diag
-        )
+    def a_post(self) -> np.ndarray:
+        return _dense(self.post_rows, self.p)
 
 
-def _sparse_rows(matrix: np.ndarray) -> tuple[tuple[tuple[int, int], ...], ...]:
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(matrix.shape[0])]
-    rr, cc = np.nonzero(matrix)
-    for r, c, v in zip(rr.tolist(), cc.tolist(), matrix[rr, cc].tolist()):
-        rows[r].append((c, v))
-    return tuple(tuple(row) for row in rows)
+def _dense(rows: tuple[_Row, ...], width: int) -> np.ndarray:
+    matrix = np.zeros((len(rows), width), dtype=np.int8)
+    for r, row in enumerate(rows):
+        for j, v in row:
+            matrix[r, j] = v
+    matrix.flags.writeable = False
+    return matrix
 
 
 def decompose(m: int) -> list[Block]:
@@ -192,37 +186,26 @@ def decompose(m: int) -> list[Block]:
         raise ValueError(f"tap count must be >= 1, got {m}")
     closing = ((), (BlockKind.PASS1,), (BlockKind.PAIR2,))[m % 3]
     kinds = _LAYOUT_OVERRIDES.get(m, (BlockKind.WINO3,) * (m // 3) + closing)
-    blocks = []
-    t = 0
-    for kind in kinds:
-        blocks.append(Block(kind, t))
-        t += blocks[-1].tap_count
-    return blocks
+    offsets = accumulate((_TEMPLATES[kind].taps for kind in kinds), initial=0)
+    return [Block(kind, t) for kind, t in zip(kinds, offsets)]
 
 
 def generate_plan(m: int) -> KernelPlan:
-    """Build the full factorization plan for an m-tap filter."""
+    """Build the full factorization plan for an m-tap filter.
+
+    Each block's template rows are stamped at its tap offset and, in
+    ``post_rows``, at its first product index, so building takes O(P).
+    """
     blocks = decompose(m)
-    p = sum(b.product_count for b in blocks)
-    a_pre = np.zeros((p, m + 1), dtype=np.int8)
-    a_post = np.zeros((2, p), dtype=np.int8)
-    diag: list[DiagonalTerm] = []
-
-    r = 0
-    for block in blocks:
-        t, template = block.tap_offset, block.template
-        rows = slice(r, r + block.product_count)
-        a_pre[rows, t : t + block.tap_count + 1] = template.a_pre
-        a_post[:, rows] = template.a_post
-        diag += [
-            DiagonalTerm((0,) * t + local + (0,) * (m - t - len(local)), halved)
-            for local, halved in template.diag
-        ]
-        r = rows.stop
-
-    a_pre.flags.writeable = False
-    a_post.flags.writeable = False
-    return KernelPlan(m, tuple(blocks), a_pre, a_post, tuple(diag))
+    firsts = list(accumulate((b.product_count for b in blocks), initial=0))
+    # A pass per matrix keeps its rows together in memory for the executors
+    # (m = 1024 calls ran ~10% slower interleaved); tuple([...]) is faster here.
+    pre = [tuple([(j + b.tap_offset, v) for j, v in row]) for b in blocks for row in b.template.a_pre]
+    post = [tuple([(k + r, v) for b, r in zip(blocks, firsts) for k, v in b.template.a_post[out]])
+            for out in range(2)]
+    diag = [DiagonalTerm(tuple([(i + b.tap_offset, c) for i, c in row]), halved)
+            for b in blocks for row, halved in b.template.diag]
+    return KernelPlan(m, tuple(blocks), tuple(pre), tuple(post), tuple(diag))
 
 
 @dataclass
@@ -241,43 +224,54 @@ def _check_structure(plan: KernelPlan, fail: list[str]) -> None:
         fail.append(f"tap count must be >= 1, got {plan.m}")
         return
 
-    covered = []
-    for block in plan.blocks:
-        covered.extend(range(block.tap_offset, block.tap_offset + block.tap_count))
-    if sorted(covered) != list(range(plan.m)):
+    # m may come from a document: compare lengths before building range(m).
+    covered = sorted(t for b in plan.blocks for t in range(b.tap_offset, b.tap_offset + b.tap_count))
+    if len(covered) != plan.m or covered != list(range(plan.m)):
         fail.append(f"blocks do not tile the tap range [0, {plan.m}) exactly once")
 
     p = sum(b.product_count for b in plan.blocks)
     if len(plan.diag) != p:
         fail.append(f"dimension violation: {len(plan.diag)} diagonal terms, blocks need {p}")
-    if plan.a_pre.ndim != 2 or plan.a_pre.shape != (p, plan.m + 1):
-        fail.append(f"dimension violation: a_pre shape {plan.a_pre.shape}, expected {(p, plan.m + 1)}")
-    if plan.a_post.ndim != 2 or plan.a_post.shape != (2, p):
-        fail.append(f"dimension violation: a_post shape {plan.a_post.shape}, expected {(2, p)}")
+    if len(plan.pre_rows) != p:
+        fail.append(f"dimension violation: a_pre shape {(len(plan.pre_rows), plan.m + 1)}, expected {(p, plan.m + 1)}")
+    if len(plan.post_rows) != 2:
+        fail.append(f"dimension violation: a_post shape {(len(plan.post_rows), plan.p)}, expected {(2, p)}")
 
-    for name in ("pre", "post"):
-        # A matrix that is not 2-D has failed the dimension check and has no rows.
-        if getattr(plan, f"a_{name}").ndim != 2:
-            continue
-        if any(abs(v) > 1 for row in getattr(plan, f"{name}_rows") for _, v in row):
-            fail.append(f"ternary-entry violation: a_{name} has an entry outside {{-1, 0, +1}}")
-
-    for k, (term, row) in enumerate(zip(plan.diag, plan.diag_rows)):
-        if len(term.coeffs) != plan.m:
-            fail.append(f"dimension violation: diag term {k} has {len(term.coeffs)} coefficients, expected {plan.m}")
-            continue
-        if any(abs(c) > 1 for _, c in row):
-            fail.append(f"ternary-entry violation: diag term {k} coefficient outside {{-1, 0, +1}}")
-        if term.halved and not _is_halvable(row):
+    for name, rows, width in (
+        ("a_pre row", plan.pre_rows, plan.m + 1),
+        ("a_post row", plan.post_rows, plan.p),
+        ("diag term", [term.row for term in plan.diag], plan.m),
+    ):
+        for k, row in enumerate(rows):
+            fault = _row_fault(row, width)
+            if fault:
+                fail.append(fault.format(f"{name} {k}"))
+    for k, term in enumerate(plan.diag):
+        if term.halved and not _is_halvable(term.row):
             fail.append(f"diag term {k} is halved but is not of the form (w[a] +/- w[a+1] + w[a+2]) / 2")
 
 
-def _is_halvable(row: tuple[tuple[int, int], ...]) -> bool:
+def _row_fault(row: _Row, width: int) -> str | None:
+    # First departure from +-1 entries at strictly ascending indices in [0, width), as a
+    # template for the row's label: executors subtract any entry not +1, views index by j.
+    last = -1
+    for j, v in row:
+        if abs(v) > 1:
+            return "ternary-entry violation: {} has an entry outside {{-1, 0, +1}}"
+        if v == 0:
+            return "sparse-row violation: {} stores a zero entry"
+        if not 0 <= j < width:
+            return f"dimension violation: {{}} has an index outside [0, {width})"
+        if j <= last:
+            return "sparse-row violation: {} indices do not strictly ascend"
+        last = j
+    return None
+
+
+def _is_halvable(row: _Row) -> bool:
     # The sparse row must be exactly ((a, 1), (a+1, +-1), (a+2, 1)).
-    if len(row) != 3:
-        return False
-    (a, first), (b, middle), (c, last) = row
-    return (b, c) == (a + 1, a + 2) and first == last == 1 and middle in (-1, 1)
+    a = row[0][0] if row else 0
+    return row in (((a, 1), (a + 1, 1), (a + 2, 1)), ((a, 1), (a + 1, -1), (a + 2, 1)))
 
 
 def _check_identity(plan: KernelPlan, fail: list[str]) -> None:
@@ -289,7 +283,7 @@ def _check_identity(plan: KernelPlan, fail: list[str]) -> None:
     for r, post in enumerate(plan.post_rows):
         for k, a in post:
             scale = a if plan.diag[k].halved else 2 * a
-            for i, c in plan.diag_rows[k]:
+            for i, c in plan.diag[k].row:
                 for j, b in plan.pre_rows[k]:
                     doubled[r, i, j] += scale * c * b
     for r in range(2):
@@ -324,17 +318,20 @@ def validate_plan(plan: KernelPlan) -> ValidationReport:
 def plan_to_json(plan: KernelPlan) -> str:
     """Serialize to the canonical single-line JSON document.
 
-    Key order and separators are fixed, so serialize -> parse -> serialize is
+    The document holds the dense matrices and coefficient lists.  Key order
+    and separators are fixed, so serialize -> parse -> serialize is
     byte-identical.
     """
+    coeffs = [[0] * plan.m for _ in plan.diag]
+    for dense, term in zip(coeffs, plan.diag):
+        for i, c in term.row:
+            dense[i] = c
     doc = {
         "m": plan.m,
         "blocks": [{"kind": b.kind.value, "offset": b.tap_offset} for b in plan.blocks],
         "a_pre": plan.a_pre.tolist(),
         "a_post": plan.a_post.tolist(),
-        "diag": [
-            {"coeffs": [int(c) for c in t.coeffs], "halved": t.halved} for t in plan.diag
-        ],
+        "diag": [{"coeffs": c, "halved": t.halved} for c, t in zip(coeffs, plan.diag)],
     }
     return json.dumps(doc, separators=(",", ":"))
 
@@ -346,15 +343,19 @@ def _typed(value, kind: type):
     return value
 
 
-def _int8_matrix(rows) -> np.ndarray:
-    # Any rectangular nesting loads, so that validate_plan can report its shape.
-    cells = np.array(rows, dtype=object)
-    for v in cells.flat:
-        if type(v) is not int or not -128 <= v <= 127:
-            raise ValueError(f"matrix entry {v!r} is not a JSON integer in int8")
-    matrix = cells.astype(np.int8)
-    matrix.flags.writeable = False
-    return matrix
+def _rows_from_json(matrix, width: int, int8: bool = True) -> tuple[_Row, ...]:
+    # Dense JSON rows of `width` integers (int8 for matrix entries) as sparse rows.
+    rows = []
+    for values in _typed(matrix, list):
+        if len(_typed(values, list)) != width:
+            raise ValueError(f"expected rows of {width} entries, got one of {len(values)}")
+        if not set(map(type, values)) <= {int}:
+            bad = next(v for v in values if type(v) is not int)
+            raise ValueError(f"entry {bad!r} is not a JSON integer")
+        rows.append(tuple([(j, values[j]) for j in compress(range(width), values)]))
+        if int8 and any(not -128 <= v <= 127 for _, v in rows[-1]):
+            raise ValueError(f"a matrix row has an entry outside int8: {rows[-1]}")
+    return tuple(rows)
 
 
 def plan_from_json(text: str) -> KernelPlan:
@@ -362,10 +363,11 @@ def plan_from_json(text: str) -> KernelPlan:
 
     Only the schema is enforced here; semantic invariants are left to
     ``validate_plan`` so that a corrupted document can still be loaded and
-    reported on.  The schema admits exactly the value types ``plan_to_json``
-    writes: JSON integers (not booleans) for ``m``, offsets, matrix entries
-    and coefficients, with matrix entries in int8, and JSON booleans for
-    ``halved``.  Anything else raises ValueError.
+    reported on.  The schema admits exactly what ``plan_to_json`` writes: JSON
+    integers (not booleans) for ``m``, offsets, matrix entries (in int8) and
+    coefficients, JSON booleans for ``halved``, ``a_pre`` and ``a_post`` as
+    lists of rows m+1 and p entries wide (p diagonal terms) and m-long
+    ``coeffs`` lists.  Anything else raises ValueError.
     """
     try:
         doc = json.loads(text)
@@ -373,15 +375,12 @@ def plan_from_json(text: str) -> KernelPlan:
         raise ValueError(f"malformed plan document: {exc}") from exc
     try:
         m = _typed(doc["m"], int)
-        blocks = tuple(
-            Block(BlockKind(b["kind"]), _typed(b["offset"], int)) for b in doc["blocks"]
-        )
-        a_pre = _int8_matrix(doc["a_pre"])
-        a_post = _int8_matrix(doc["a_post"])
-        diag = tuple(
-            DiagonalTerm(tuple(_typed(c, int) for c in t["coeffs"]), _typed(t["halved"], bool))
-            for t in doc["diag"]
-        )
+        blocks = tuple(Block(BlockKind(b["kind"]), _typed(b["offset"], int)) for b in doc["blocks"])
+        terms = _typed(doc["diag"], list)
+        rows = _rows_from_json([t["coeffs"] for t in terms], m, int8=False)
+        diag = tuple(DiagonalTerm(row, _typed(t["halved"], bool)) for row, t in zip(rows, terms))
+        pre_rows = _rows_from_json(doc["a_pre"], m + 1)
+        post_rows = _rows_from_json(doc["a_post"], len(diag))
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ValueError(f"malformed plan document: {exc}") from exc
-    return KernelPlan(m, blocks, a_pre, a_post, diag)
+    return KernelPlan(m, blocks, pre_rows, post_rows, diag)

@@ -5,6 +5,7 @@ same verdicts appear as test results either way).  Integer claims are asserted
 exactly; float agreement uses a 1e-12 relative tolerance.
 """
 
+import json
 import time
 
 import numpy as np
@@ -79,11 +80,12 @@ def test_criterion_3_three_tap_factorization():
             [0, 1, 0, -1],
         ]
         assert plan.a_post.tolist() == [[1, 1, 1, 0], [0, 1, -1, -1]]
-        assert [(t.coeffs, t.halved) for t in plan.diag] == [
-            ((1, 0, 0), False),
-            ((1, 1, 1), True),
-            ((1, -1, 1), True),
-            ((0, 0, 1), False),
+        diag = json.loads(plan_to_json(plan))["diag"]
+        assert [(t["coeffs"], t["halved"]) for t in diag] == [
+            ([1, 0, 0], False),
+            ([1, 1, 1], True),
+            ([1, -1, 1], True),
+            ([0, 0, 1], False),
         ]
 
     _criterion("criterion 3: the 3-tap plan matches the published factorization entry for entry", body)

@@ -88,11 +88,13 @@ def test_hand_built_plan_with_shared_and_empty_rows():
     plan = KernelPlan(
         m=1,
         blocks=base.blocks,
-        a_pre=np.array([[1, 0], [1, 0], [0, 0]], dtype=np.int8),
-        a_post=np.array([[1, 0, 1], [0, 1, 1]], dtype=np.int8),
-        diag=(DiagonalTerm((1,), False),) * 3,
+        pre_rows=(((0, 1),), ((0, 1),), ()),
+        post_rows=(((0, 1), (2, 1)), ((1, 1), (2, 1))),
+        diag=(DiagonalTerm(((0, 1),), False),) * 3,
     )
-    no_y1 = replace(plan, a_post=np.array([[1, 0, 1], [0, 0, 0]], dtype=np.int8))
+    assert plan.a_pre.tolist() == [[1, 0], [1, 0], [0, 0]]
+    assert plan.a_post.tolist() == [[1, 0, 1], [0, 1, 1]]
+    no_y1 = replace(plan, post_rows=(((0, 1), (2, 1)), ()))
     signal = [1.0, 2.0, -0.5, 4.0, 8.0]
     for exact, kind in ((False, float), (True, Fraction)):
         kernel = precompute_diagonal(plan, [3.0], exact=exact)

@@ -1,6 +1,7 @@
 """Block decomposition, plan matrices, validation, JSON round-trips."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +24,18 @@ def layout(m):
 
 
 def unit(m, i):
-    return tuple(1 if j == i else 0 for j in range(m))
+    return [1 if j == i else 0 for j in range(m)]
+
+
+def dense_diag(plan):
+    # The dense (coeffs, halved) pairs of the plan's JSON document.
+    return [(t["coeffs"], t["halved"]) for t in json.loads(plan_to_json(plan))["diag"]]
+
+
+def with_entry(rows, r, e, entry):
+    # The sparse rows with entry e of row r replaced.
+    row = rows[r][:e] + (entry,) + rows[r][e + 1:]
+    return rows[:r] + (row,) + rows[r + 1:]
 
 
 def test_decompose_published_sizes():
@@ -73,12 +85,14 @@ def test_three_tap_plan_matrices():
         [0, 1, 0, -1],
     ]
     assert plan.a_post.tolist() == [[1, 1, 1, 0], [0, 1, -1, -1]]
-    assert [(t.coeffs, t.halved) for t in plan.diag] == [
-        ((1, 0, 0), False),
-        ((1, 1, 1), True),
-        ((1, -1, 1), True),
-        ((0, 0, 1), False),
+    assert dense_diag(plan) == [
+        ([1, 0, 0], False),
+        ([1, 1, 1], True),
+        ([1, -1, 1], True),
+        ([0, 0, 1], False),
     ]
+    assert plan.pre_rows[0] == ((0, 1), (2, -1))
+    assert plan.diag[2].row == ((0, 1), (1, -1), (2, 1))
 
 
 def test_single_tap_plan_is_passthrough():
@@ -86,7 +100,7 @@ def test_single_tap_plan_is_passthrough():
     assert plan.p == 2
     assert plan.a_pre.tolist() == [[1, 0], [0, 1]]
     assert plan.a_post.tolist() == [[1, 0], [0, 1]]
-    assert [(t.coeffs, t.halved) for t in plan.diag] == [((1,), False), ((1,), False)]
+    assert dense_diag(plan) == [([1], False), ([1], False)]
 
 
 def test_seven_tap_diag_layout():
@@ -97,11 +111,12 @@ def test_seven_tap_diag_layout():
         False, False,
         False, True, True, False,
     ]
-    assert plan.diag[0].coeffs == unit(7, 0)
-    assert plan.diag[4].coeffs == unit(7, 3)
-    assert plan.diag[5].coeffs == unit(7, 3)
-    assert plan.diag[7].coeffs == (0, 0, 0, 0, 1, 1, 1)
-    assert plan.diag[8].coeffs == (0, 0, 0, 0, 1, -1, 1)
+    coeffs = [c for c, _ in dense_diag(plan)]
+    assert coeffs[0] == unit(7, 0)
+    assert coeffs[4] == unit(7, 3)
+    assert coeffs[5] == unit(7, 3)
+    assert coeffs[7] == [0, 0, 0, 0, 1, 1, 1]
+    assert coeffs[8] == [0, 0, 0, 0, 1, -1, 1]
 
 
 def test_matrices_are_ternary():
@@ -109,8 +124,8 @@ def test_matrices_are_ternary():
         plan = generate_plan(m)
         for mat in (plan.a_pre, plan.a_post):
             assert int(np.abs(mat.astype(np.int64)).max()) <= 1
-        for t in plan.diag:
-            assert set(t.coeffs) <= {-1, 0, 1}
+        for coeffs, _ in dense_diag(plan):
+            assert set(coeffs) <= {-1, 0, 1}
 
 
 def test_matrices_are_read_only():
@@ -129,47 +144,63 @@ def test_validate_generated_plans():
 
 def test_validate_flags_nonternary_entry():
     plan = generate_plan(3)
-    bad = plan.a_pre.copy()
-    bad[0, 0] = 2
-    report = validate_plan(replace(plan, a_pre=bad))
+    report = validate_plan(replace(plan, pre_rows=with_entry(plan.pre_rows, 0, 0, (0, 2))))
     assert not report.ok
     assert any("ternary" in msg for msg in report.failures)
 
     terms = list(plan.diag)
-    terms[1] = DiagonalTerm((0, 2, 0), False)
+    terms[1] = DiagonalTerm(((1, 2),), False)
     report = validate_plan(replace(plan, diag=tuple(terms)))
     assert report.failures == [
-        "ternary-entry violation: diag term 1 coefficient outside {-1, 0, +1}"
+        "ternary-entry violation: diag term 1 has an entry outside {-1, 0, +1}"
     ]
+
+    # A stored row holds +-1 only: the executors would subtract a stored 0.
+    report = validate_plan(replace(plan, post_rows=with_entry(plan.post_rows, 1, 0, (1, 0))))
+    assert report.failures == ["sparse-row violation: a_post row 1 stores a zero entry"]
+
+    # Indices strictly ascend: a repeated or reordered index would make the
+    # dense matrix differ from the rows the executors run.
+    for row in (((0, 1), (0, 1)), ((2, -1), (0, 1))):
+        report = validate_plan(replace(plan, pre_rows=(row,) + plan.pre_rows[1:]))
+        assert report.failures == ["sparse-row violation: a_pre row 0 indices do not strictly ascend"]
+    terms = list(plan.diag)
+    terms[3] = DiagonalTerm(((2, 1), (1, 1)), False)
+    report = validate_plan(replace(plan, diag=tuple(terms)))
+    assert report.failures == ["sparse-row violation: diag term 3 indices do not strictly ascend"]
 
 
 def test_validate_flags_bad_shape():
     plan = generate_plan(3)
-    report = validate_plan(replace(plan, a_post=plan.a_post[:, :3].copy()))
+    report = validate_plan(replace(plan, post_rows=plan.post_rows[:1]))
     assert not report.ok
     assert any("dimension" in msg for msg in report.failures)
 
-    terms = list(plan.diag)
-    terms[2] = DiagonalTerm((1, 0), False)
-    report = validate_plan(replace(plan, diag=tuple(terms)))
-    assert report.failures == [
-        "dimension violation: diag term 2 has 2 coefficients, expected 3"
-    ]
-
-    # A matrix that is not 2-D has no rows to check; nothing raises.
-    for bad in (plan.a_pre[0].copy(), np.array(1, dtype=np.int8)):
-        report = validate_plan(replace(plan, a_pre=bad))
+    # Too few or too many rows are reported as the dense shape; nothing raises.
+    for rows in (plan.pre_rows[:1], (), plan.pre_rows + ((),)):
+        report = validate_plan(replace(plan, pre_rows=rows))
         assert report.failures == [
-            f"dimension violation: a_pre shape {bad.shape}, expected (4, 4)"
+            f"dimension violation: a_pre shape {(len(rows), 4)}, expected (4, 4)"
         ]
+
+    # Every index lies inside its dense matrix: samples < m+1, products < p,
+    # taps < m.  Out of range, the executors would raise IndexError.
+    report = validate_plan(replace(plan, pre_rows=with_entry(plan.pre_rows, 3, 1, (4, -1))))
+    assert report.failures == ["dimension violation: a_pre row 3 has an index outside [0, 4)"]
+    report = validate_plan(replace(plan, post_rows=with_entry(plan.post_rows, 1, 2, (4, -1))))
+    assert report.failures == ["dimension violation: a_post row 1 has an index outside [0, 4)"]
+    report = validate_plan(replace(plan, pre_rows=with_entry(plan.pre_rows, 0, 0, (-1, 1))))
+    assert report.failures == ["dimension violation: a_pre row 0 has an index outside [0, 4)"]
+    terms = list(plan.diag)
+    terms[2] = DiagonalTerm(((0, 1), (3, 1)), False)
+    report = validate_plan(replace(plan, diag=tuple(terms)))
+    assert report.failures == ["dimension violation: diag term 2 has an index outside [0, 3)"]
 
 
 def test_validate_flags_identity_violation():
     # A sign flip keeps every structural invariant but breaks the arithmetic.
     plan = generate_plan(3)
-    bad = plan.a_pre.copy()
-    bad[0, 0] = -1
-    report = validate_plan(replace(plan, a_pre=bad))
+    report = validate_plan(replace(plan, pre_rows=with_entry(plan.pre_rows, 0, 0, (0, -1))))
     assert not report.ok
     assert any("identity" in msg for msg in report.failures)
 
@@ -177,7 +208,7 @@ def test_validate_flags_identity_violation():
 def test_validate_flags_bad_halving():
     plan = generate_plan(3)
     terms = list(plan.diag)
-    terms[0] = DiagonalTerm(terms[0].coeffs, True)
+    terms[0] = DiagonalTerm(terms[0].row, True)
     report = validate_plan(replace(plan, diag=tuple(terms)))
     assert not report.ok
     assert any("halved" in msg for msg in report.failures)
@@ -215,6 +246,12 @@ def test_json_round_trip_preserves_semantics():
     assert np.array_equal(loaded.a_post, plan.a_post)
     assert loaded.diag == plan.diag
     assert validate_plan(loaded).ok
+    # Plans are values: a loaded plan equals and hashes like the original.
+    for m in list(range(1, 65)) + [1024]:
+        plan = generate_plan(m)
+        loaded = plan_from_json(plan_to_json(plan))
+        assert loaded == plan
+        assert hash(loaded) == hash(plan)
 
 
 def _edited_plan3(*path_and_value) -> str:
@@ -241,19 +278,36 @@ def test_json_rejects_malformed_documents():
         _edited_plan3("diag", 1, "halved", "false"),
         _edited_plan3("blocks", 0, "offset", "0"),
     ]
+    # A layout with no sparse-row meaning is malformed: a matrix that is not
+    # a list of rows, an a_pre row not m+1 wide, an a_post row not one entry
+    # per diagonal term, a coeffs list not m long.
+    texts += [
+        _edited_plan3("a_pre", [1, 0, -1, 0]),
+        _edited_plan3("a_pre", 1),
+        _edited_plan3("a_post", {"0": [1, 1, 1, 0]}),
+        _edited_plan3("a_pre", 1, [0, 1, 1]),
+        _edited_plan3("a_post", 0, [1, 1, 1]),
+        _edited_plan3("a_post", 1, [0, 1, -1, -1, 0]),
+        _edited_plan3("diag", 0, "coeffs", [1, 0]),
+        _edited_plan3("diag", 0, "coeffs", 1),
+    ]
     for text in texts:
         with pytest.raises(ValueError, match="malformed"):
             plan_from_json(text)
 
 
 def test_json_loads_invalid_plans_for_validation():
-    # Integer documents load whatever they mean, so validate_plan can report
-    # an entry of 2, a wrong shape or a short diagonal term.
+    # Integer documents with the right widths load whatever they mean, so
+    # validate_plan can report an entry of 2 or a wrong row count.
     cases = [
         (_edited_plan3("a_pre", 0, 0, 2), "ternary-entry"),
-        (_edited_plan3("a_pre", [[1, 0, -1, 0]]), "a_pre shape"),
-        (_edited_plan3("diag", 0, "coeffs", [1, 0]), "2 coefficients"),
+        (_edited_plan3("a_pre", [[1, 0, -1, 0]]), "a_pre shape (1, 4), expected (4, 4)"),
+        (_edited_plan3("a_post", [[1, 1, 1, 0]]), "a_post shape (1, 4), expected (2, 4)"),
     ]
+    # A huge m with empty rows is reported without building anything m long.
+    huge = {"m": 10**15, "blocks": [{"kind": "wino3", "offset": 0}],
+            "a_pre": [], "a_post": [[], []], "diag": []}
+    cases.append((json.dumps(huge), "do not tile the tap range [0, 1000000000000000)"))
     for text, message in cases:
         report = validate_plan(plan_from_json(text))
         assert any(message in msg for msg in report.failures), report.failures
@@ -264,14 +318,27 @@ def test_validate_flags_every_single_sign_flip():
     # negating any one of them must be reported as an identity violation.
     for m in range(1, 13):
         plan = generate_plan(m)
-        for name in ("a_pre", "a_post"):
-            matrix = getattr(plan, name)
-            for r, c in zip(*np.nonzero(matrix)):
-                bad = matrix.copy()
-                bad[r, c] = -bad[r, c]
-                report = validate_plan(replace(plan, **{name: bad}))
-                assert any("identity" in msg for msg in report.failures), (m, name, r, c)
+        for name in ("pre_rows", "post_rows"):
+            rows = getattr(plan, name)
+            for r, row in enumerate(rows):
+                for e, (c, v) in enumerate(row):
+                    bad = with_entry(rows, r, e, (c, -v))
+                    report = validate_plan(replace(plan, **{name: bad}))
+                    assert any("identity" in msg for msg in report.failures), (m, name, r, c)
 
 
 def test_validate_large_plan():
     assert validate_plan(generate_plan(1024)).ok
+
+
+def test_plan_storage_is_linear():
+    # A plan stores sparse rows only, so generating and validating m = 3000
+    # stays far below the ~113 MB that dense matrices and m-long coefficient
+    # tuples for its 4000 products would take.
+    tracemalloc.start()
+    try:
+        assert validate_plan(generate_plan(3000)).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, peak
