@@ -1,6 +1,7 @@
 """Execution of kernel plans on input windows.
 
-Two scalar modes share one code path:
+Samples and taps pass ``_coerce``, the one input rule: a 1-D sequence of
+``numbers.Real``, else TypeError.  Two scalar modes share one code path:
 
 * float mode (default): IEEE double arithmetic, summation in matrix-row index
   order so results are bit-reproducible across runs;
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -64,12 +66,20 @@ class OpCounter:
         return self.pre_adds + self.post_adds
 
 
-def _coerce(values: Sequence, exact: bool) -> list:
+def _coerce(values: Sequence, exact: bool) -> np.ndarray:
+    # Float mode: a float64 ndarray, a 1-D float64 one as is.  Exact mode: an object
+    # ndarray of the caller's own items as Fraction (numpy would round [2**63 + 1, -1]).
+    if not exact:
+        array = np.asarray(values)
+        if array.ndim == 1 and array.dtype.kind in "biuf":
+            return array.astype(np.float64, copy=False)
+    items = values.tolist() if isinstance(values, np.ndarray) else values
+    items = [v.item() if isinstance(v, np.generic) else v for v in items]
+    if bad := sorted(t.__name__ for t in set(map(type, items)) if not issubclass(t, Real)):
+        raise TypeError(f"samples and taps must be real numbers, got {', '.join(bad)}")
     if exact:
-        # Fraction keeps a numpy integer as its numerator, which then wraps at
-        # its fixed width; a Python int grows.
-        return [Fraction(int(v) if isinstance(v, np.integer) else v) for v in values]
-    return [float(v) for v in values]
+        return np.array([Fraction(v) for v in items], dtype=object)
+    return np.array(items, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -89,15 +99,13 @@ def precompute_diagonal(plan: KernelPlan, taps: Sequence, exact: bool = False) -
 
     The halved terms divide by two once; in float mode that division is itself
     exact, so each constant is correctly rounded.  Raises ValueError when the
-    tap count does not match the plan and TypeError when a tap is a str or
-    bytes.  Each constant starts from zero and adds its taps in ascending
+    tap count does not match the plan and TypeError when a tap is not a real
+    number.  Each constant starts from zero and adds its taps in ascending
     index order.
     """
     if len(taps) != plan.m:
         raise ValueError(f"plan is for {plan.m} taps, got {len(taps)}")
-    if any(isinstance(v, (str, bytes)) for v in taps):
-        raise TypeError("taps must be numbers, not str or bytes")
-    w = _coerce(taps, exact)
+    w = _coerce(taps, exact).tolist()
     zero = Fraction(0) if exact else 0.0
     s = []
     for term in plan.diag:
@@ -129,12 +137,13 @@ def apply_basic_op(kernel: PreparedKernel, tile: Sequence, counter: OpCounter | 
     """Compute the two adjacent outputs for one (m+1)-sample window.
 
     Evaluates t = a_pre @ x (additions only), mu = s * t (exactly P scalar
-    multiplications), y = a_post @ mu (additions only).
+    multiplications), y = a_post @ mu (additions only).  Raises ValueError on
+    a wrong window length and TypeError when a sample is not a real number.
     """
     plan = kernel.plan
     if len(tile) != plan.m + 1:
         raise ValueError(f"window must have {plan.m + 1} samples, got {len(tile)}")
-    x = _coerce(tile, kernel.exact)
+    x = _coerce(tile, kernel.exact).tolist()
     zero = Fraction(0) if kernel.exact else 0.0
 
     t, pre_adds = _apply_ternary(plan.pre_rows, x, zero)

@@ -18,8 +18,9 @@ __all__ = ["naive_fir", "apply_basic_op_naive"]
 def naive_fir(signal: Sequence, taps: Sequence, exact: bool = False) -> list:
     """Filter a whole signal the obvious way.
 
-    Returns the N - m + 1 valid outputs; summation runs in index order.
-    Raises ValueError when the signal is shorter than the filter.
+    Returns the N - m + 1 valid outputs, summed in index order.  Raises
+    ValueError when the signal is shorter than the filter and TypeError when
+    a sample or tap is not a real number.
     """
     m = len(taps)
     if m < 1:
@@ -27,8 +28,8 @@ def naive_fir(signal: Sequence, taps: Sequence, exact: bool = False) -> list:
     n = len(signal)
     if n < m:
         raise ValueError(f"signal has {n} samples, need at least {m}")
-    w = _coerce(taps, exact)
-    x = _coerce(signal, exact)
+    w = _coerce(taps, exact).tolist()
+    x = _coerce(signal, exact).tolist()
     out = []
     for j in range(n - m + 1):
         acc = x[j] * w[0]

@@ -11,7 +11,7 @@ of columns, each diagonal product one vector multiply and each ``a_post`` row
 a signed sum of those: P vector multiplies of length ceil((N-m+1)/2) in place
 of one Python basic operation per window.  The arithmetic is the kernel's:
 float64 arrays in float mode, ``object`` arrays of ``Fraction`` in exact
-mode, where every sample is coerced once and the padding is ``Fraction(0)``.
+mode.  The signal enters through ``kernels._coerce``, the one input rule.
 
 Float contract: per element, the executor performs the IEEE operations of
 ``apply_basic_op`` on that window in the same order, with a - b in place of
@@ -63,24 +63,17 @@ def fir_filter(kernel: PreparedKernel, signal: Sequence,
     """Compute all N - m + 1 valid outputs via ceil((N-m+1)/2) basic ops.
 
     Returns a list of Python floats, or of ``Fraction`` in exact mode.
-    Raises ValueError when the signal is shorter than the filter and, in
-    float mode, TypeError when it holds complex values.
+    Raises ValueError when the signal is shorter than the filter and
+    TypeError when a sample is not a real number.
     """
+    samples = _coerce(signal, kernel.exact)
     m = kernel.plan.m
     n = len(signal)
     if n < m:
         raise ValueError(f"signal has {n} samples, need at least {m}")
     n_out = n - m + 1
     windows = (n_out + 1) // 2
-    if kernel.exact:
-        zero, samples = Fraction(0), _coerce(signal, True)
-    else:
-        # Casting complex values to float64 would only warn and drop the
-        # imaginary part.  A float64 ndarray passes through uncopied.
-        zero, samples = 0.0, np.asarray(signal)
-        if samples.dtype.kind == "c":
-            raise TypeError("signal must be real, got complex values")
-        samples = samples.astype(np.float64, copy=False)
+    zero = Fraction(0) if kernel.exact else 0.0
     padded = np.full(2 * windows + m - 1, zero)
     padded[:n] = samples
     columns = [padded[j : j + 2 * windows : 2] for j in range(m + 1)]

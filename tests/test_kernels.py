@@ -2,6 +2,7 @@
 
 import json
 import struct
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +12,10 @@ from minfilt import (
     OpCounter,
     apply_basic_op,
     apply_basic_op_naive,
+    fir_filter,
     generate_plan,
     is_dyadic,
+    naive_fir,
     plan_to_json,
     precompute_diagonal,
 )
@@ -233,3 +236,39 @@ def test_diagonal_rejects_text_taps():
     for taps, exact in ((["1", "2", "3"], False), ([1, "1/3", 2], True), ([1, 2, b"3"], False)):
         with pytest.raises(TypeError):
             precompute_diagonal(plan, taps, exact=exact)
+
+
+def test_one_input_rule_at_every_entry_point():
+    # m = 3, taps [1, 2, 3]: a sample or tap that is not a numbers.Real is a
+    # TypeError from the one input rule in every entry point and both modes,
+    # where a parsed string, NaN for None or a dropped imaginary part used to
+    # pass.  A float32 ndarray is real, and exact mode keeps its values exactly.
+    plan = generate_plan(3)
+    rejected = (
+        ["1", "2", "3", "4"],
+        np.array([b"1", b"2", b"3", b"4"]),
+        [None, 1, 2, 3],
+        np.array([1 + 5j, 2, 3, 4]),
+        [Decimal(v) for v in (1, 2, 3, 4)],
+    )
+    for exact in (False, True):
+        kernel = precompute_diagonal(plan, [1, 2, 3], exact=exact)
+        for values in rejected:
+            calls = (
+                lambda: fir_filter(kernel, values),
+                lambda: naive_fir(values, [1, 2, 3], exact),
+                lambda: naive_fir([1, 2, 3, 4], values[:3], exact),
+                lambda: apply_basic_op(kernel, values),
+                lambda: apply_basic_op_naive([1, 2, 3], values, exact),
+                lambda: precompute_diagonal(plan, values[:3], exact=exact),
+            )
+            for call in calls:
+                with pytest.raises(TypeError, match="must be real numbers"):
+                    call()
+
+        x, w = np.array([1.5, 2, 3, 4], dtype=np.float32), np.array([1, 2, 3], dtype=np.float32)
+        kernel32 = precompute_diagonal(plan, w, exact=exact)
+        outputs = (fir_filter(kernel32, x), naive_fir(x, w, exact), list(apply_basic_op(kernel32, x)))
+        for out in outputs:
+            assert out == ([Fraction(29, 2), Fraction(20)] if exact else [14.5, 20.0])
+            assert all(type(v) is (Fraction if exact else float) for v in out)

@@ -44,11 +44,16 @@ def test_exact_mode_returns_exact_types():
     assert all(not isinstance(v, float) for v in out)
 
     # numpy integers, alone or in an ndarray, must not wrap once products
-    # pass 2**63, in the reference or the executor.
+    # pass 2**63, in the reference or the executor.  Nor may exact mode read
+    # ints through numpy's array of them, which holds [2**63 + 1, -1] as
+    # float64 and so rounds 2**63 + 1 to 2**63.
     x, w = [2**40] * 3 + [1], [2**40, 1, 1]
-    want = [2**80 + 2**41, 2**80 + 2**40 + 1]
-    for signal, taps in ((np.array(x), np.array(w)), (list(np.array(x)), list(np.array(w))),
-                         (np.array(x), w)):
+    big = [2**80 + 2**41, 2**80 + 2**40 + 1]
+    for signal, taps, want in ((np.array(x), np.array(w), big),
+                               (list(np.array(x)), list(np.array(w)), big),
+                               (np.array(x), w, big),
+                               ([2**63, -1, 0, 0], [1, 1, 1], [2**63 - 1, -1]),
+                               ([2**63 + 1, -1, 0, 0], [1, 1, 1], [2**63, -1])):
         kernel = precompute_diagonal(generate_plan(3), taps, exact=True)
         assert naive_fir(signal, taps, exact=True) == fir_filter(kernel, signal) == want
 
