@@ -1,7 +1,7 @@
 """Exact-arithmetic verification: equality you can trust bit for bit.
 
 Every plan constant is a signed sum of taps divided by at most one factor of
-two, so with Fraction arithmetic the factorized kernel must equal the direct
+two, so in exact arithmetic the factorized kernel must equal the direct
 method exactly, not merely within a tolerance.  That turns verification into
 a pure yes or no question.  One random signal asks it of the shipped
 executor, fir_filter, against the direct method, naive_fir; validate_plan

@@ -5,15 +5,18 @@ Samples and taps pass ``_coerce``, the one input rule: a 1-D sequence of
 
 * float mode (default): IEEE double arithmetic, summation in matrix-row index
   order so results are bit-reproducible across runs;
-* exact mode: ``fractions.Fraction`` arithmetic.  Every constant the plans
-  produce is a tap combination divided by at most one factor of two, so all
-  values stay dyadic rationals and equality checks against the direct method
-  are exact.
+* exact mode: rational values, exact to the last digit.  Every constant the
+  plans produce is a signed tap sum divided by at most one factor of two, so
+  with D the lcm of the taps' denominators, 2D times each constant is an
+  integer.  ``precompute_diagonal`` sums the taps as integers scaled by D and
+  divides once per constant; ``fir_filter`` runs its stages on ``int``s
+  scaled likewise and divides once per output.  Equality checks against the
+  direct method are exact.
 
 ``apply_basic_op`` is the per-window scalar kernel, the reference the
 executor is held to; ``fir_filter`` does not call it but runs the same stages
 over the whole signal at once, in either arithmetic (see ``stream``).  Exact
-outputs are the same ``Fraction`` values.  Float finite, infinite and
+outputs are the same values, each one ``Fraction``.  Float finite, infinite and
 signed-zero outputs are bit-identical to this kernel's, and a NaN output is
 NaN at the same position, with sign and payload unspecified.
 
@@ -30,6 +33,7 @@ additions from its loop shape: two outputs of m products summed in order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
@@ -69,17 +73,29 @@ class OpCounter:
 def _coerce(values: Sequence, exact: bool) -> np.ndarray:
     # Float mode: a float64 ndarray, a 1-D float64 one as is.  Exact mode: an object
     # ndarray of the caller's own items as Fraction (numpy would round [2**63 + 1, -1]).
-    if not exact:
-        array = np.asarray(values)
-        if array.ndim == 1 and array.dtype.kind in "biuf":
-            return array.astype(np.float64, copy=False)
-    items = values.tolist() if isinstance(values, np.ndarray) else values
-    items = [v.item() if isinstance(v, np.generic) else v for v in items]
-    if bad := sorted(t.__name__ for t in set(map(type, items)) if not issubclass(t, Real)):
+    # Only an ndarray reaches numpy before the type check: np.asarray of a ragged
+    # list raises ValueError, or warns on older numpy.
+    if isinstance(values, np.ndarray):
+        if not exact and values.ndim == 1 and values.dtype.kind in "biuf":
+            return values.astype(np.float64, copy=False)
+        values = values.tolist()
+    if exact:
+        # Numpy scalars as the Python numbers they hold: Fraction(np.int64(v)) wraps.
+        values = [v.item() if isinstance(v, np.generic) else v for v in values]
+    kinds = set(map(type, values))
+    if bad := sorted(t.__name__ for t in kinds if not issubclass(t, (Real, np.bool_))):
         raise TypeError(f"samples and taps must be real numbers, got {', '.join(bad)}")
     if exact:
-        return np.array([Fraction(v) for v in items], dtype=object)
-    return np.array(items, dtype=np.float64)
+        # np.longdouble stays itself through .item(); its ratio is exact.
+        return np.array([Fraction(*v.as_integer_ratio()) if isinstance(v, np.floating)
+                         else Fraction(v) for v in values], dtype=object)
+    return np.array(values, dtype=np.float64)
+
+
+def _scaled(fractions) -> tuple[list, int]:
+    # The values times D as Python ints, and D, the lcm of their denominators.
+    scale = math.lcm(*(f.denominator for f in fractions))
+    return [f.numerator * (scale // f.denominator) for f in fractions], scale
 
 
 @dataclass(frozen=True)
@@ -98,21 +114,28 @@ def precompute_diagonal(plan: KernelPlan, taps: Sequence, exact: bool = False) -
     """Evaluate the diagonal constants for the given taps.
 
     The halved terms divide by two once; in float mode that division is itself
-    exact, so each constant is correctly rounded.  Raises ValueError when the
-    tap count does not match the plan and TypeError when a tap is not a real
-    number.  Each constant starts from zero and adds its taps in ascending
-    index order.
+    exact, so each constant is correctly rounded.  In exact mode the taps are
+    scaled to integers by the lcm D of their denominators, and each constant is
+    one ``Fraction`` of its integer sum over D, or over 2D when halved.  Raises
+    ValueError when the tap count does not match the plan and TypeError when a
+    tap is not a real number.  Each constant starts from zero and adds its
+    taps in ascending index order.
     """
     if len(taps) != plan.m:
         raise ValueError(f"plan is for {plan.m} taps, got {len(taps)}")
     w = _coerce(taps, exact).tolist()
-    zero = Fraction(0) if exact else 0.0
+    if exact:
+        w, scale = _scaled(w)
+    zero = 0 if exact else 0.0
     s = []
     for term in plan.diag:
         total = zero
         for i, c in term.row:
             total = total + w[i] if c > 0 else total - w[i]
-        s.append(total / 2 if term.halved else total)
+        if exact:
+            s.append(Fraction(total, 2 * scale if term.halved else scale))
+        else:
+            s.append(total / 2 if term.halved else total)
     return PreparedKernel(plan, tuple(s), exact)
 
 

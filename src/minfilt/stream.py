@@ -9,9 +9,12 @@ One executor runs each stage once over the whole signal.  Sample j of every
 window is the stride-2 column x[j::2], so each ``a_pre`` row is a signed sum
 of columns, each diagonal product one vector multiply and each ``a_post`` row
 a signed sum of those: P vector multiplies of length ceil((N-m+1)/2) in place
-of one Python basic operation per window.  The arithmetic is the kernel's:
-float64 arrays in float mode, ``object`` arrays of ``Fraction`` in exact
-mode.  The signal enters through ``kernels._coerce``, the one input rule.
+of one Python basic operation per window.  Float mode runs float64 arrays.
+Exact mode scales the samples by the lcm Dx of their denominators and the
+diagonal constants by the lcm Ds of theirs, runs the same stages on ``object``
+arrays of Python ``int``, and divides once per output: y = Y / (Ds * Dx), the
+value ``apply_basic_op`` computes in ``Fraction`` arithmetic.  The signal
+enters through ``kernels._coerce``, the one input rule.
 
 Float contract: per element, the executor performs the IEEE operations of
 ``apply_basic_op`` on that window in the same order, with a - b in place of
@@ -28,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import OpCounter, PreparedKernel, _coerce
+from .kernels import OpCounter, PreparedKernel, _coerce, _scaled
 
 __all__ = ["fir_filter"]
 
@@ -37,7 +40,7 @@ def _column_sums(rows, columns: list, blank: np.ndarray) -> tuple[list, int]:
     # Signed row sums over whole-signal columns, in ascending column order as
     # apply_basic_op adds them, and the vector additions they took.  a - b
     # equals the scalar kernel's a + (-b) bit for bit outside NaN, and exactly
-    # on Fractions.  After the first addition a sum is updated in place; every
+    # on integers.  After the first addition a sum is updated in place; every
     # array returned is new, never a view of ``columns``.  An empty row is a
     # copy of ``blank``, the zero column of the executor's arithmetic.
     sums = []
@@ -73,21 +76,29 @@ def fir_filter(kernel: PreparedKernel, signal: Sequence,
         raise ValueError(f"signal has {n} samples, need at least {m}")
     n_out = n - m + 1
     windows = (n_out + 1) // 2
-    zero = Fraction(0) if kernel.exact else 0.0
-    padded = np.full(2 * windows + m - 1, zero)
+    s = kernel.s
+    if kernel.exact:
+        samples, dx = _scaled(samples)
+        s, ds = _scaled(s)
+        scale = ds * dx
+    # object, not int64: the scaled integers are unbounded.
+    dtype = object if kernel.exact else np.float64
+    padded = np.zeros(2 * windows + m - 1, dtype)
     padded[:n] = samples
     columns = [padded[j : j + 2 * windows : 2] for j in range(m + 1)]
-    blank = np.full(windows, zero)
+    blank = np.zeros(windows, dtype)
     with np.errstate(over="ignore", invalid="ignore"):
         mu, pre_adds = _column_sums(kernel.plan.pre_rows, columns, blank)
-        for sk, tk in zip(kernel.s, mu):
+        for sk, tk in zip(s, mu):
             np.multiply(tk, sk, out=tk)  # t_k becomes mu_k = s_k * t_k
         (y0, y1), post_adds = _column_sums(kernel.plan.post_rows, mu, blank)
     if counter is not None:
         counter.pre_adds += pre_adds * windows
         counter.mults += len(mu) * windows
         counter.post_adds += post_adds * windows
-    out = np.empty(2 * windows, dtype=padded.dtype)
+    out = np.empty(2 * windows, dtype)
     out[0::2] = y0
     out[1::2] = y1
+    if kernel.exact:
+        return [Fraction(v, scale) for v in out[:n_out].tolist()]
     return out[:n_out].tolist()

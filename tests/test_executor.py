@@ -13,6 +13,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -185,3 +186,50 @@ def test_float_executor_error_against_direct_method(data, m, extra):
     bound = 1e-12 * np.abs(taps).sum() * np.abs(signal).max()
     assert len(got) == len(want)
     assert all(abs(g - h) <= bound for g, h in zip(got, want))
+
+
+def wide_floats(rng, n) -> list:
+    """Floats with exponents spread over +-1000."""
+    return [math.ldexp(rng.uniform(-1, 1), int(e)) for e in rng.integers(-1000, 1000, n)]
+
+
+def integer_path_cases():
+    rng = np.random.default_rng(17)
+    subnormals = [5e-324, -5e-324, -1e-310]
+    extremes = [2**63 - 1, -2**63, 2**63 - 1, 1, -2**63, 0, 2**63 - 1, -1]
+    yield "wide-floats", wide_floats(rng, 10) + [5e-324], wide_floats(rng, 23) + subnormals
+    yield "wide-floats-m7", subnormals + wide_floats(rng, 4), subnormals + wide_floats(rng, 20)
+    yield "thirds-sevenths", [Fraction(int(k), 3) for k in rng.integers(-99, 99, 5)], \
+        [Fraction(int(k), 7) for k in rng.integers(-99, 99, 30)]
+    yield "int64-ndarray", np.array(extremes[:3]), np.array(extremes * 3)
+    yield "int64-list", extremes[:3], extremes * 3
+    yield "m1", [Fraction(-5, 3)], [Fraction(int(k), 7) for k in rng.integers(-99, 99, 9)]
+    yield "m1024", rng.integers(-2**20, 2**20, 1024), \
+        [Fraction(int(k), 3) for k in rng.integers(-2**20, 2**20, 1024 + 9)]
+
+
+def fraction_diagonal(plan, taps) -> list:
+    """The diagonal summed in Fraction arithmetic, each row in index order."""
+    w = [Fraction(v) for v in (taps.tolist() if isinstance(taps, np.ndarray) else taps)]
+    s = []
+    for term in plan.diag:
+        total = Fraction(0)
+        for i, c in term.row:
+            total = total + w[i] if c > 0 else total - w[i]
+        s.append(total / 2 if term.halved else total)
+    return s
+
+
+@pytest.mark.parametrize("name, taps, signal", list(integer_path_cases()),
+                         ids=[case[0] for case in integer_path_cases()])
+def test_exact_integer_path_on_wide_denominators(name, taps, signal):
+    # Exact mode scales taps and samples to integers by the lcm of their
+    # denominators (up to 2^1074 for subnormals) and divides once per output.
+    plan = plan_for(len(taps))
+    kernel = precompute_diagonal(plan, taps, exact=True)
+    assert type(kernel.s) is tuple and all(type(v) is Fraction for v in kernel.s)
+    assert list(kernel.s) == fraction_diagonal(plan, taps)
+
+    got = fir_filter(kernel, signal)
+    assert all(type(v) is Fraction for v in got)
+    assert got == naive_fir(signal, taps, exact=True)

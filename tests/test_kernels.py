@@ -241,8 +241,9 @@ def test_diagonal_rejects_text_taps():
 def test_one_input_rule_at_every_entry_point():
     # m = 3, taps [1, 2, 3]: a sample or tap that is not a numbers.Real is a
     # TypeError from the one input rule in every entry point and both modes,
-    # where a parsed string, NaN for None or a dropped imaginary part used to
-    # pass.  A float32 ndarray is real, and exact mode keeps its values exactly.
+    # where a parsed string, NaN for None, a dropped imaginary part or numpy's
+    # ValueError on a ragged list used to come out.  float32 and longdouble
+    # ndarrays are real, and exact mode keeps their values exactly.
     plan = generate_plan(3)
     rejected = (
         ["1", "2", "3", "4"],
@@ -250,6 +251,7 @@ def test_one_input_rule_at_every_entry_point():
         [None, 1, 2, 3],
         np.array([1 + 5j, 2, 3, 4]),
         [Decimal(v) for v in (1, 2, 3, 4)],
+        [[1, 2], [3], 4, 5],
     )
     for exact in (False, True):
         kernel = precompute_diagonal(plan, [1, 2, 3], exact=exact)
@@ -266,9 +268,31 @@ def test_one_input_rule_at_every_entry_point():
                 with pytest.raises(TypeError, match="must be real numbers"):
                     call()
 
-        x, w = np.array([1.5, 2, 3, 4], dtype=np.float32), np.array([1, 2, 3], dtype=np.float32)
-        kernel32 = precompute_diagonal(plan, w, exact=exact)
-        outputs = (fir_filter(kernel32, x), naive_fir(x, w, exact), list(apply_basic_op(kernel32, x)))
-        for out in outputs:
-            assert out == ([Fraction(29, 2), Fraction(20)] if exact else [14.5, 20.0])
-            assert all(type(v) is (Fraction if exact else float) for v in out)
+        for dtype in (np.float32, np.longdouble):
+            x, w = np.array([1.5, 2, 3, 4], dtype=dtype), np.array([1, 2, 3], dtype=dtype)
+            kernel = precompute_diagonal(plan, w, exact=exact)
+            outputs = (fir_filter(kernel, x), naive_fir(x, w, exact), list(apply_basic_op(kernel, x)))
+            for out in outputs:
+                assert out == ([Fraction(29, 2), Fraction(20)] if exact else [14.5, 20.0])
+                assert all(type(v) is (Fraction if exact else float) for v in out)
+
+
+def test_exact_mode_reads_longdouble_exactly():
+    # Exact mode takes each np.longdouble through its own integer ratio; float
+    # mode rounds it to float64 once.  Where longdouble is wider than float64,
+    # 1 + eps differs from its float64 rounding.
+    eps = np.finfo(np.longdouble).eps
+    x = np.array([1, 2, 3, 4], dtype=np.longdouble) + eps
+    w = np.array([1, -2, 3], dtype=np.longdouble) + eps
+    xq = [Fraction(*v.as_integer_ratio()) for v in x]
+    wq = [Fraction(*v.as_integer_ratio()) for v in w]
+    want = [sum(xq[i + j] * wq[i] for i in range(3)) for j in range(2)]
+
+    plan = generate_plan(3)
+    kernel = precompute_diagonal(plan, w, exact=True)
+    for values in (w, list(w)):
+        assert precompute_diagonal(plan, values, exact=True).s == kernel.s
+    for signal in (x, list(x)):
+        assert naive_fir(signal, w, exact=True) == fir_filter(kernel, signal) == want
+        assert naive_fir(signal, w) == fir_filter(precompute_diagonal(plan, w), signal) \
+            == naive_fir(x.astype(np.float64), w.astype(np.float64))
