@@ -13,12 +13,13 @@ Samples and taps pass ``_coerce``, the one input rule: a 1-D sequence of
   scaled likewise and divides once per output.  Equality checks against the
   direct method are exact.
 
-``apply_basic_op`` is the per-window scalar kernel, the reference the
-executor is held to; ``fir_filter`` does not call it but runs the same stages
-over the whole signal at once, in either arithmetic (see ``stream``).  Exact
-outputs are the same values, each one ``Fraction``.  Float finite, infinite and
-signed-zero outputs are bit-identical to this kernel's, and a NaN output is
-NaN at the same position, with sign and payload unspecified.
+``apply_basic_op`` is the per-window scalar kernel.  It and ``fir_filter``
+run one stage routine, ``_stages``: on one window's scalars here, on
+whole-signal columns there (see ``stream``).  Each row is summed in ascending
+column order, with a - b where a dense scan forms a + (-b): the same bits
+outside a NaN.  Float finite, infinite and signed-zero outputs of the two are
+bit-identical, and a NaN output is NaN at the same position, with sign and
+payload unspecified.  Exact outputs are the same values, each one ``Fraction``.
 
 ``OpCounter`` instruments the very path that computes the result, split by
 stage, and each stage adds its counts once, when it ends: the products are
@@ -113,13 +114,14 @@ class PreparedKernel:
 def precompute_diagonal(plan: KernelPlan, taps: Sequence, exact: bool = False) -> PreparedKernel:
     """Evaluate the diagonal constants for the given taps.
 
-    The halved terms divide by two once; in float mode that division is itself
-    exact, so each constant is correctly rounded.  In exact mode the taps are
-    scaled to integers by the lcm D of their denominators, and each constant is
-    one ``Fraction`` of its integer sum over D, or over 2D when halved.  Raises
-    ValueError when the tap count does not match the plan and TypeError when a
-    tap is not a real number.  Each constant starts from zero and adds its
-    taps in ascending index order.
+    Each constant starts from zero and adds its signed taps in ascending
+    index order.  In float mode a halved term divides that sum by two, which
+    rounds only when the half is subnormal; a sum that overflows to +-inf is
+    redone on the halved taps, so a finite halved sum is not lost.  In exact
+    mode the taps are scaled to integers by the lcm D of their denominators,
+    and each constant is one ``Fraction`` of its integer sum over D, or over
+    2D when halved.  Raises ValueError when the tap count does not match the
+    plan and TypeError when a tap is not a real number.
     """
     if len(taps) != plan.m:
         raise ValueError(f"plan is for {plan.m} taps, got {len(taps)}")
@@ -134,26 +136,55 @@ def precompute_diagonal(plan: KernelPlan, taps: Sequence, exact: bool = False) -
             total = total + w[i] if c > 0 else total - w[i]
         if exact:
             s.append(Fraction(total, 2 * scale if term.halved else scale))
+        elif term.halved and math.isinf(total):
+            # Redo the overflowed sum on the halved taps.  Some are nonzero,
+            # so starting from the first one, not from +0.0, changes no bit.
+            s.append(_row_sums([term.row], [v / 2 for v in w], zero)[0][0])
         else:
             s.append(total / 2 if term.halved else total)
     return PreparedKernel(plan, tuple(s), exact)
 
 
-def _apply_ternary(rows, vec, zero):
-    # Signed row sums in ascending column order, and the additions they took.
-    out = []
+def _row_sums(rows, vec, zero) -> tuple[list, int]:
+    # Signed sums of vec over each row in ascending column order, and the
+    # additions they took, alike on scalars and numpy columns.  The first
+    # addition makes a new value and later ones update it in place; a lone
+    # term is +vec[j] or -vec[j], so every array returned is a new one.
+    sums = []
     adds = 0
     for row in rows:
-        acc = None
-        for j, sign in row:
-            term = vec[j] if sign > 0 else -vec[j]
-            if acc is None:
-                acc = term
+        if not row:
+            sums.append(zero)
+            continue
+        j, sign = row[0]
+        if len(row) == 1:
+            sums.append(+vec[j] if sign > 0 else -vec[j])
+            continue
+        acc = vec[j] if sign > 0 else -vec[j]
+        j, sign = row[1]
+        acc = acc + vec[j] if sign > 0 else acc - vec[j]
+        for j, sign in row[2:]:
+            if sign > 0:
+                acc += vec[j]
             else:
-                acc = acc + term
-                adds += 1
-        out.append(zero if acc is None else acc)
-    return out, adds
+                acc -= vec[j]
+        sums.append(acc)
+        adds += len(row) - 1
+    return sums, adds
+
+
+def _stages(plan: KernelPlan, s, x, zero, counter: OpCounter | None, width: int):
+    # a_pre row sums, the P products in place, a_post row sums, each operation
+    # counted ``width`` times; mu is returned so a caller may keep it alive.
+    mu, pre_adds = _row_sums(plan.pre_rows, x, zero)
+    for k, sk in enumerate(s):
+        mu[k] *= sk  # t_k becomes mu_k = s_k * t_k
+    y, post_adds = _row_sums(plan.post_rows, mu, zero)
+    if counter is not None:
+        counter.pre_adds += pre_adds * width
+        counter.mults += len(mu) * width
+        counter.post_adds += post_adds * width
+    return y, mu
 
 
 def apply_basic_op(kernel: PreparedKernel, tile: Sequence, counter: OpCounter | None = None):
@@ -168,14 +199,7 @@ def apply_basic_op(kernel: PreparedKernel, tile: Sequence, counter: OpCounter | 
         raise ValueError(f"window must have {plan.m + 1} samples, got {len(tile)}")
     x = _coerce(tile, kernel.exact).tolist()
     zero = Fraction(0) if kernel.exact else 0.0
-
-    t, pre_adds = _apply_ternary(plan.pre_rows, x, zero)
-    mu = [sk * tk for sk, tk in zip(kernel.s, t)]
-    y, post_adds = _apply_ternary(plan.post_rows, mu, zero)
-    if counter is not None:
-        counter.pre_adds += pre_adds
-        counter.mults += len(mu)
-        counter.post_adds += post_adds
+    y, _ = _stages(plan, kernel.s, x, zero, counter, 1)
     return y[0], y[1]
 
 

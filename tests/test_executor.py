@@ -56,8 +56,9 @@ def assert_same_bits_nan_by_position(got, want):
 def test_nonfinite_contract():
     inf, nan = math.inf, math.nan
     cases = [
-        # Finite taps whose halved sums overflow: the factorization gives
-        # inf - inf = NaN where the direct method stays finite.
+        # Finite taps whose halved sums overflow: the constants are summed
+        # from halved taps, so the outputs stay finite where the direct
+        # method's do.
         (3, [1e308, 1e308, -1e308], [1.0, 0.0, 0.0, 1.0, 2.0]),
         # Infinite and NaN samples spread through the windows.
         (5, [1.0, -2.0, 0.5, 3.0, -1.0], [0.0, inf, 1.0, -inf, 2.0, nan, 3.0, 4.0, 5.0]),

@@ -1,6 +1,7 @@
 """Diagonal precomputation, basic-operation execution, operation counting."""
 
 import json
+import math
 import struct
 from decimal import Decimal
 from fractions import Fraction
@@ -208,11 +209,22 @@ def test_is_dyadic():
 def test_diagonal_bits_match_dense_recipe_on_special_taps():
     # Each constant starts from +0.0 and adds or subtracts its taps in
     # ascending index order, so signed zeros, infinities, NaN and subnormals
-    # land exactly where the dense-coefficient scan puts them.
+    # land exactly where the dense-coefficient scan puts them.  A halved term
+    # whose sum is +-inf sums the halved taps instead.
     specials = [0.0, -0.0, float("inf"), -float("inf"), float("nan"),
                 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, 1.0, -2.5]
     rng = np.random.default_rng(11)
     bits = lambda v: struct.pack("<d", v)
+
+    def scan(w, coeffs):
+        total = 0.0
+        for wi, c in zip(w, coeffs):
+            if c > 0:
+                total = total + wi
+            elif c < 0:
+                total = total - wi
+        return total
+
     for m in list(range(1, 17)) + [64]:
         plan = generate_plan(m)
         dense = json.loads(plan_to_json(plan))["diag"]
@@ -220,15 +232,58 @@ def test_diagonal_bits_match_dense_recipe_on_special_taps():
             taps = rng.choice(specials, size=m).tolist()
             want = []
             for term in dense:
-                total = 0.0
-                for wi, c in zip(taps, term["coeffs"]):
-                    if c > 0:
-                        total = total + wi
-                    elif c < 0:
-                        total = total - wi
-                want.append(total / 2 if term["halved"] else total)
+                total = scan(taps, term["coeffs"])
+                if term["halved"]:
+                    halves = [wi / 2 for wi in taps]
+                    total = scan(halves, term["coeffs"]) if math.isinf(total) else total / 2
+                want.append(total)
             got = precompute_diagonal(plan, taps).s
             assert [bits(v) for v in got] == [bits(v) for v in want]
+
+
+def test_halved_sum_overflow_stays_finite():
+    # 1e308 + 1e308 overflows, but the halved constant 1e308 does not: it is
+    # summed from the halved taps, and the outputs equal the direct method's.
+    taps, signal = [1e308, 1e308, -1e308], [1.0, 0.0, 0.0, 1.0, 2.0]
+    kernel = precompute_diagonal(generate_plan(3), taps)
+    assert all(math.isfinite(v) for v in kernel.s)
+    want = naive_fir(signal, taps)
+    assert want == [1e308, -1e308, -math.inf]
+    assert fir_filter(kernel, signal) == want
+
+
+def test_basic_op_matches_dense_row_scan_on_special_values():
+    # apply_basic_op against its definition, read from the dense a_pre and
+    # a_post rows of the JSON document: each row summed in ascending column
+    # order, each product s_k * t_k.  Bit for bit; a NaN only has to meet a NaN.
+    specials = [0.0, -0.0, float("inf"), -float("inf"), float("nan"),
+                5e-324, -5e-324, 2.2e-308, 1e308, -1e308, 1.0, -2.5]
+    rng = np.random.default_rng(12)
+    bits = lambda v: "nan" if math.isnan(v) else struct.pack("<d", v)
+
+    def scan(rows, vec):
+        sums = []
+        for row in rows:
+            acc = None
+            for v, c in zip(vec, row):
+                if c == 0:
+                    continue
+                if acc is None:
+                    acc = v if c > 0 else -v
+                else:
+                    acc = acc + v if c > 0 else acc - v
+            sums.append(0.0 if acc is None else acc)
+        return sums
+
+    for m in list(range(1, 17)) + [64]:
+        plan = generate_plan(m)
+        doc = json.loads(plan_to_json(plan))
+        for _ in range(10):
+            kernel = precompute_diagonal(plan, rng.choice(specials, size=m).tolist())
+            x = rng.choice(specials, size=m + 1).tolist()
+            mu = [sk * tk for sk, tk in zip(kernel.s, scan(doc["a_pre"], x))]
+            want = scan(doc["a_post"], mu)
+            assert [bits(v) for v in apply_basic_op(kernel, x)] == [bits(v) for v in want]
 
 
 def test_diagonal_rejects_text_taps():
