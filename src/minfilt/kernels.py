@@ -1,7 +1,8 @@
-"""Execution of kernel plans on input windows.
+"""Diagonal constants, the input rule and operation counting.
 
 Samples and taps pass ``_coerce``, the one input rule: a 1-D sequence of
-``numbers.Real``, else TypeError.  Two scalar modes share one code path:
+``numbers.Real``, else TypeError.  Exact mode also needs every value finite:
+inf or NaN raises ValueError.  Two arithmetics share one code path:
 
 * float mode (default): IEEE double arithmetic, summation in matrix-row index
   order so results are bit-reproducible across runs;
@@ -9,27 +10,20 @@ Samples and taps pass ``_coerce``, the one input rule: a 1-D sequence of
   plans produce is a signed tap sum divided by at most one factor of two, so
   with D the lcm of the taps' denominators, 2D times each constant is an
   integer.  ``precompute_diagonal`` sums the taps as integers scaled by D and
-  divides once per constant; ``fir_filter`` runs its stages on ``int``s
-  scaled likewise and divides once per output.  Equality checks against the
-  direct method are exact.
+  divides once per constant.  Equality checks against the direct method are
+  exact.
 
-``apply_basic_op`` is the per-window scalar kernel.  It and ``fir_filter``
-run one stage routine, ``_stages``: on one window's scalars here, on
-whole-signal columns there (see ``stream``).  Each row is summed in ascending
-column order, with a - b where a dense scan forms a + (-b): the same bits
-outside a NaN.  Float finite, infinite and signed-zero outputs of the two are
-bit-identical, and a NaN output is NaN at the same position, with sign and
-payload unspecified.  Exact outputs are the same values, each one ``Fraction``.
+The executor, ``stream``, states its float and exact contracts.
 
 ``OpCounter`` instruments the very path that computes the result, split by
 stage, and each stage adds its counts once, when it ends: the products are
 the length of ``mu``, and each addition of ``a_pre`` and ``a_post`` is
-tallied by the row sum that makes it.  In the whole-signal executor one
-vector operation over W windows counts as W scalar operations.  The counted
-arithmetic is thus the shipped arithmetic.  Sign flips on ternary-matrix
-entries are not multiplications and are not counted.  The direct method
-(``reference.apply_basic_op_naive``) counts its 2m products and 2(m-1)
-additions from its loop shape: two outputs of m products summed in order.
+tallied by the row sum that makes it.  One vector operation over W windows
+counts as W scalar operations.  The counted arithmetic is thus the shipped
+arithmetic.  Sign flips on ternary-matrix entries are not multiplications and
+are not counted.  The direct method (``reference.apply_basic_op_naive``)
+counts its 2m products and 2(m-1) additions from its loop shape: two outputs
+of m products summed in order.
 """
 
 from __future__ import annotations
@@ -48,7 +42,6 @@ __all__ = [
     "OpCounter",
     "PreparedKernel",
     "precompute_diagonal",
-    "apply_basic_op",
     "is_dyadic",
 ]
 
@@ -73,7 +66,8 @@ class OpCounter:
 
 def _coerce(values: Sequence, exact: bool) -> np.ndarray:
     # Float mode: a float64 ndarray, a 1-D float64 one as is.  Exact mode: an object
-    # ndarray of the caller's own items as Fraction (numpy would round [2**63 + 1, -1]).
+    # ndarray of the caller's own items as Fraction (numpy would round [2**63 + 1, -1]);
+    # inf and NaN have no integer ratio, so the conversion itself rejects them.
     # Only an ndarray reaches numpy before the type check: np.asarray of a ragged
     # list raises ValueError, or warns on older numpy.
     if isinstance(values, np.ndarray):
@@ -88,8 +82,11 @@ def _coerce(values: Sequence, exact: bool) -> np.ndarray:
         raise TypeError(f"samples and taps must be real numbers, got {', '.join(bad)}")
     if exact:
         # np.longdouble stays itself through .item(); its ratio is exact.
-        return np.array([Fraction(*v.as_integer_ratio()) if isinstance(v, np.floating)
-                         else Fraction(v) for v in values], dtype=object)
+        try:
+            return np.array([Fraction(*v.as_integer_ratio()) if isinstance(v, np.floating)
+                             else Fraction(v) for v in values], dtype=object)
+        except (OverflowError, ValueError):
+            raise ValueError("exact mode needs finite samples and taps, got inf or NaN") from None
     return np.array(values, dtype=np.float64)
 
 
@@ -121,7 +118,8 @@ def precompute_diagonal(plan: KernelPlan, taps: Sequence, exact: bool = False) -
     mode the taps are scaled to integers by the lcm D of their denominators,
     and each constant is one ``Fraction`` of its integer sum over D, or over
     2D when halved.  Raises ValueError when the tap count does not match the
-    plan and TypeError when a tap is not a real number.
+    plan or an exact-mode tap is inf or NaN, and TypeError when a tap is not
+    a real number.
     """
     if len(taps) != plan.m:
         raise ValueError(f"plan is for {plan.m} taps, got {len(taps)}")
@@ -131,76 +129,20 @@ def precompute_diagonal(plan: KernelPlan, taps: Sequence, exact: bool = False) -
     zero = 0 if exact else 0.0
     s = []
     for term in plan.diag:
-        total = zero
-        for i, c in term.row:
-            total = total + w[i] if c > 0 else total - w[i]
+        vec, halve = w, term.halved and not exact
+        while True:
+            total = zero
+            for i, c in term.row:
+                total = total + vec[i] if c > 0 else total - vec[i]
+            if not (halve and math.isinf(total)):
+                break
+            # Redo the overflowed sum on the halved taps; it needs no halving.
+            vec, halve = [v / 2 for v in w], False
         if exact:
             s.append(Fraction(total, 2 * scale if term.halved else scale))
-        elif term.halved and math.isinf(total):
-            # Redo the overflowed sum on the halved taps.  Some are nonzero,
-            # so starting from the first one, not from +0.0, changes no bit.
-            s.append(_row_sums([term.row], [v / 2 for v in w], zero)[0][0])
         else:
-            s.append(total / 2 if term.halved else total)
+            s.append(total / 2 if halve else total)
     return PreparedKernel(plan, tuple(s), exact)
-
-
-def _row_sums(rows, vec, zero) -> tuple[list, int]:
-    # Signed sums of vec over each row in ascending column order, and the
-    # additions they took, alike on scalars and numpy columns.  The first
-    # addition makes a new value and later ones update it in place; a lone
-    # term is +vec[j] or -vec[j], so every array returned is a new one.
-    sums = []
-    adds = 0
-    for row in rows:
-        if not row:
-            sums.append(zero)
-            continue
-        j, sign = row[0]
-        if len(row) == 1:
-            sums.append(+vec[j] if sign > 0 else -vec[j])
-            continue
-        acc = vec[j] if sign > 0 else -vec[j]
-        j, sign = row[1]
-        acc = acc + vec[j] if sign > 0 else acc - vec[j]
-        for j, sign in row[2:]:
-            if sign > 0:
-                acc += vec[j]
-            else:
-                acc -= vec[j]
-        sums.append(acc)
-        adds += len(row) - 1
-    return sums, adds
-
-
-def _stages(plan: KernelPlan, s, x, zero, counter: OpCounter | None, width: int):
-    # a_pre row sums, the P products in place, a_post row sums, each operation
-    # counted ``width`` times; mu is returned so a caller may keep it alive.
-    mu, pre_adds = _row_sums(plan.pre_rows, x, zero)
-    for k, sk in enumerate(s):
-        mu[k] *= sk  # t_k becomes mu_k = s_k * t_k
-    y, post_adds = _row_sums(plan.post_rows, mu, zero)
-    if counter is not None:
-        counter.pre_adds += pre_adds * width
-        counter.mults += len(mu) * width
-        counter.post_adds += post_adds * width
-    return y, mu
-
-
-def apply_basic_op(kernel: PreparedKernel, tile: Sequence, counter: OpCounter | None = None):
-    """Compute the two adjacent outputs for one (m+1)-sample window.
-
-    Evaluates t = a_pre @ x (additions only), mu = s * t (exactly P scalar
-    multiplications), y = a_post @ mu (additions only).  Raises ValueError on
-    a wrong window length and TypeError when a sample is not a real number.
-    """
-    plan = kernel.plan
-    if len(tile) != plan.m + 1:
-        raise ValueError(f"window must have {plan.m + 1} samples, got {len(tile)}")
-    x = _coerce(tile, kernel.exact).tolist()
-    zero = Fraction(0) if kernel.exact else 0.0
-    y, _ = _stages(plan, kernel.s, x, zero, counter, 1)
-    return y[0], y[1]
 
 
 def is_dyadic(value) -> bool:

@@ -37,6 +37,14 @@ def test_plan_rejects_bad_tap_count(capsys):
     assert "error:" in err
 
 
+def test_tap_count_lists_are_checked(capsys):
+    for argv, message in ((("table", "-m", "3,x"), "bad tap-count list: '3,x'"),
+                          (("verify", "-m", ","), "empty tap-count list")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+
 def test_verify_published_sizes(capsys):
     code, out, _ = run(capsys, "verify", "-m", "3,5,7", "--trials", "25", "--seed", "42")
     assert code == 0
@@ -192,6 +200,16 @@ def test_filter_reports_bad_line(tmp_path, capsys):
     code, _, err = run(capsys, "filter", str(sig), str(taps))
     assert code == 2
     assert "not a number" in err and ":2:" in err
+
+
+def test_filter_rejects_tap_file_without_taps(tmp_path, capsys):
+    sig = tmp_path / "x.txt"
+    taps = tmp_path / "w.txt"
+    sig.write_text("1\n2\n3\n")
+    taps.write_text("# no taps yet\n\n")
+    code, out, err = run(capsys, "filter", str(sig), str(taps))
+    assert code == 2 and out == ""
+    assert err == f"error: no taps in {taps}\n"
 
 
 def test_filter_missing_file(capsys):

@@ -76,7 +76,7 @@ def _row_additions(matrix) -> int:
 
 def test_per_stage_counts_match_matrix_rows_and_cost_model():
     # Pre-adds and post-adds per window are the row nnz - 1 of a_pre and
-    # a_post, on the scalar kernel and on both fir_filter executors.
+    # a_post, on one window and on a whole signal, in both arithmetics.
     for m in range(1, 33):
         plan = generate_plan(m)
         pre, post = _row_additions(plan.a_pre), _row_additions(plan.a_post)

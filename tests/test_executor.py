@@ -1,7 +1,8 @@
-"""The whole-signal executor against the per-window scalar kernel.
+"""The whole-signal executor against itself one window at a time.
 
-``fir_filter`` runs one stage pipeline in both arithmetics: float outputs must
-match ``apply_basic_op`` window by window bit for bit, exact outputs must stay
+``fir_filter`` runs one stage pipeline in both arithmetics, and
+``apply_basic_op`` is that pipeline on one window: float outputs of a whole
+signal must match it window by window bit for bit, exact outputs must stay
 ``Fraction`` and equal the direct method, and in both modes the operation
 counts must equal the per-window sum.
 """

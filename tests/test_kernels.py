@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 import struct
 from decimal import Decimal
 from fractions import Fraction
@@ -351,3 +352,48 @@ def test_exact_mode_reads_longdouble_exactly():
         assert naive_fir(signal, w, exact=True) == fir_filter(kernel, signal) == want
         assert naive_fir(signal, w) == fir_filter(precompute_diagonal(plan, w), signal) \
             == naive_fir(x.astype(np.float64), w.astype(np.float64))
+
+
+def test_exact_mode_rejects_non_finite_at_every_entry_point():
+    # m = 3: inf or NaN has no exact value, so every entry point raises one
+    # ValueError that names exact mode, for Python, numpy and longdouble
+    # values in a list or an ndarray.  Float mode takes them as they are.
+    plan = generate_plan(3)
+    kernel = precompute_diagonal(plan, [1, 2, 3], exact=True)
+    for bad in (math.inf, -math.inf, math.nan):
+        for dtype in (np.float64, np.float32, np.longdouble):
+            array = np.array([bad, 1, 2, 3], dtype=dtype)
+            for values in (array, list(array), [bad, 1, 2, 3]):
+                calls = (
+                    lambda: fir_filter(kernel, values),
+                    lambda: naive_fir(values, [1, 2, 3], True),
+                    lambda: naive_fir([1, 2, 3, 4], values[:3], True),
+                    lambda: apply_basic_op(kernel, values),
+                    lambda: apply_basic_op_naive([1, 2, 3], values, True),
+                    lambda: precompute_diagonal(plan, values[:3], exact=True),
+                )
+                for call in calls:
+                    with pytest.raises(ValueError, match="exact mode needs finite"):
+                        call()
+    float_kernel = precompute_diagonal(plan, [1, 2, math.inf])
+    assert math.isnan(fir_filter(float_kernel, [math.nan, 1, 2, 3])[0])
+
+
+def test_no_entry_point_writes_into_its_inputs():
+    # A float64 ndarray reaches the executor without a copy; whatever the
+    # stages scale or update in place must be their own arrays.
+    plan = generate_plan(5)
+    values = (
+        np.array([1.5, -2.0, 0.25, -0.0, 3.0, 7.0, -1.0, 2.0]),
+        np.array([2**62, -3, 5, 0, -2**62, 9, 1, -1], dtype=np.int64),
+        [1, -2.5, Fraction(1, 3), 0.0, -0.0, 4, 2**70, -1],
+    )
+    for exact in (False, True):
+        for signal in values:
+            taps, window = signal[2:7].copy(), signal[1:7].copy()
+            before = pickle.dumps((signal, taps, window))
+            kernel = precompute_diagonal(plan, taps, exact=exact)
+            fir_filter(kernel, signal, OpCounter())
+            apply_basic_op(kernel, window, OpCounter())
+            naive_fir(signal, taps, exact)
+            assert pickle.dumps((signal, taps, window)) == before

@@ -172,6 +172,8 @@ def test_validate_flags_nonternary_entry():
 
 def test_validate_flags_bad_shape():
     plan = generate_plan(3)
+    report = validate_plan(replace(plan, m=0))
+    assert report.failures == ["tap count must be >= 1, got 0"]
     report = validate_plan(replace(plan, post_rows=plan.post_rows[:1]))
     assert not report.ok
     assert any("dimension" in msg for msg in report.failures)
