@@ -1,17 +1,21 @@
 """Diagonal constants, the input rule and operation counting.
 
-Samples and taps pass ``_coerce``, the one input rule: a 1-D sequence of
-``numbers.Real``, else TypeError.  Exact mode also needs every value finite:
-inf or NaN raises ValueError.  Two arithmetics share one code path:
+Samples and taps pass ``_coerce``, the one input rule: ``numbers.Real`` in a
+1-D ndarray or a sequence other than str, bytes or bytearray, else TypeError.
+Entry points that take the length first, all but ``fir_filter``, leave
+Python's own TypeError on an input that has none, such as a generator.  Exact
+mode also needs every value finite: inf or NaN raises ValueError.  Two
+arithmetics share one code path:
 
 * float mode (default): IEEE double arithmetic, summation in matrix-row index
   order so results are bit-reproducible across runs;
-* exact mode: rational values, exact to the last digit.  Every constant the
+* exact mode: rational values, exact to the last digit.  ``_coerce`` reads
+  each value once, through its own ``as_integer_ratio()``, and returns Python
+  ints scaled by D, the lcm of the denominators, with D.  Every constant the
   plans produce is a signed tap sum divided by at most one factor of two, so
-  with D the lcm of the taps' denominators, 2D times each constant is an
-  integer.  ``precompute_diagonal`` sums the taps as integers scaled by D and
-  divides once per constant.  Equality checks against the direct method are
-  exact.
+  2D times each constant is an integer: ``precompute_diagonal`` sums the
+  scaled taps and divides once per constant.  Equality checks against the
+  direct method are exact.
 
 The executor, ``stream``, states its float and exact contracts.
 
@@ -29,10 +33,10 @@ of m products summed in order.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
-from typing import Sequence
 
 import numpy as np
 
@@ -64,36 +68,31 @@ class OpCounter:
         return self.pre_adds + self.post_adds
 
 
-def _coerce(values: Sequence, exact: bool) -> np.ndarray:
-    # Float mode: a float64 ndarray, a 1-D float64 one as is.  Exact mode: an object
-    # ndarray of the caller's own items as Fraction (numpy would round [2**63 + 1, -1]);
-    # inf and NaN have no integer ratio, so the conversion itself rejects them.
-    # Only an ndarray reaches numpy before the type check: np.asarray of a ragged
-    # list raises ValueError, or warns on older numpy.
-    if isinstance(values, np.ndarray):
-        if not exact and values.ndim == 1 and values.dtype.kind in "biuf":
-            return values.astype(np.float64, copy=False)
+def _coerce(values: Sequence, exact: bool) -> tuple:
+    # The values as callers compute on them, and the scale D they were multiplied by.
+    # Float mode: a float64 ndarray (a 1-D float64 one as is) and 1.  Exact mode: Python
+    # ints from each value's own integer ratio, and D, the lcm of the denominators;
+    # numpy would round [2**63 + 1, -1], np.longdouble stays itself through .item(),
+    # and inf and NaN have no ratio.  Only a 1-D ndarray reaches numpy before the type
+    # check: np.asarray of a ragged list raises ValueError.  Any other container the
+    # rule does not admit is checked as one value, so its type names the TypeError.
+    if isinstance(values, np.ndarray) and values.ndim == 1:
+        if not exact and values.dtype.kind in "biuf":
+            return values.astype(np.float64, copy=False), 1
         values = values.tolist()
-    if exact:
-        # Numpy scalars as the Python numbers they hold: Fraction(np.int64(v)) wraps.
-        values = [v.item() if isinstance(v, np.generic) else v for v in values]
+    elif not isinstance(values, Sequence) or isinstance(values, (str, bytes, bytearray)):
+        values = [values]
     kinds = set(map(type, values))
     if bad := sorted(t.__name__ for t in kinds if not issubclass(t, (Real, np.bool_))):
-        raise TypeError(f"samples and taps must be real numbers, got {', '.join(bad)}")
-    if exact:
-        # np.longdouble stays itself through .item(); its ratio is exact.
-        try:
-            return np.array([Fraction(*v.as_integer_ratio()) if isinstance(v, np.floating)
-                             else Fraction(v) for v in values], dtype=object)
-        except (OverflowError, ValueError):
-            raise ValueError("exact mode needs finite samples and taps, got inf or NaN") from None
-    return np.array(values, dtype=np.float64)
-
-
-def _scaled(fractions) -> tuple[list, int]:
-    # The values times D as Python ints, and D, the lcm of their denominators.
-    scale = math.lcm(*(f.denominator for f in fractions))
-    return [f.numerator * (scale // f.denominator) for f in fractions], scale
+        raise TypeError(f"samples and taps must be real numbers in a 1-D sequence, got {', '.join(bad)}")
+    if not exact:
+        return np.array(values, dtype=np.float64), 1
+    try:
+        ratios = [(v.item() if isinstance(v, np.generic) else v).as_integer_ratio() for v in values]
+    except (OverflowError, ValueError):
+        raise ValueError("exact mode needs finite samples and taps, got inf or NaN") from None
+    scale = math.lcm(*(d for _, d in ratios))
+    return [n * (scale // d) for n, d in ratios], scale
 
 
 @dataclass(frozen=True)
@@ -118,14 +117,13 @@ def precompute_diagonal(plan: KernelPlan, taps: Sequence, exact: bool = False) -
     mode the taps are scaled to integers by the lcm D of their denominators,
     and each constant is one ``Fraction`` of its integer sum over D, or over
     2D when halved.  Raises ValueError when the tap count does not match the
-    plan or an exact-mode tap is inf or NaN, and TypeError when a tap is not
-    a real number.
+    plan or an exact-mode tap is inf or NaN, and TypeError when the taps break
+    the input rule.
     """
     if len(taps) != plan.m:
         raise ValueError(f"plan is for {plan.m} taps, got {len(taps)}")
-    w = _coerce(taps, exact).tolist()
-    if exact:
-        w, scale = _scaled(w)
+    w, scale = _coerce(taps, exact)
+    w = w if exact else w.tolist()
     zero = 0 if exact else 0.0
     s = []
     for term in plan.diag:

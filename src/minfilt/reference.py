@@ -3,11 +3,14 @@
 Correlation-style indexing throughout: output[j] = sum_i x[i+j] * w[i], with
 no tap reversal, valid positions only (N - m + 1 outputs).  Every equivalence
 check in the package compares against this implementation: ``naive_fir`` over a
-whole signal, ``apply_basic_op_naive`` over one window of two outputs.
+whole signal, ``apply_basic_op_naive`` over one window of two outputs.  In
+exact mode its operands are ``Fraction(v, D)`` of the input rule's integers,
+so its sums are ``Fraction`` arithmetic, not the executor's integer stages.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
 from .kernels import OpCounter, _coerce
@@ -20,7 +23,7 @@ def naive_fir(signal: Sequence, taps: Sequence, exact: bool = False) -> list:
 
     Returns the N - m + 1 valid outputs, summed in index order.  Raises
     ValueError when the signal is shorter than the filter and TypeError when
-    a sample or tap is not a real number.
+    the signal or the taps break the input rule.
     """
     m = len(taps)
     if m < 1:
@@ -28,8 +31,11 @@ def naive_fir(signal: Sequence, taps: Sequence, exact: bool = False) -> list:
     n = len(signal)
     if n < m:
         raise ValueError(f"signal has {n} samples, need at least {m}")
-    w = _coerce(taps, exact).tolist()
-    x = _coerce(signal, exact).tolist()
+    (w, dw), (x, dx) = _coerce(taps, exact), _coerce(signal, exact)
+    if exact:
+        w, x = [Fraction(v, dw) for v in w], [Fraction(v, dx) for v in x]
+    else:
+        w, x = w.tolist(), x.tolist()
     out = []
     for j in range(n - m + 1):
         acc = x[j] * w[0]

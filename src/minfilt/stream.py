@@ -10,7 +10,7 @@ window is the stride-2 column x[j::2]: each ``a_pre`` row is a signed sum of
 columns, each diagonal product one vector multiply and each ``a_post`` row a
 signed sum of those, so P vector multiplies of length ceil((N-m+1)/2) replace
 one Python basic operation per window.  The signal enters through
-``kernels._coerce``, the one input rule.
+``kernels._coerce``, the one input rule, as the arithmetic computes on it.
 
 Float contract: float64 arrays, each row summed in ascending column order,
 with a - b where a dense scan forms a + (-b): per window, the IEEE operations
@@ -20,11 +20,11 @@ do not depend on the signal's length; a NaN output is NaN at the same
 position, with sign and payload unspecified.  Overflow and invalid operations
 give inf and NaN without warnings, as Python floats do.
 
-Exact contract: the samples are scaled to integers by the lcm Dx of their
-denominators and the diagonal constants by the lcm Ds of theirs, the same
-stages run on ``object`` arrays of Python ``int``, and each output is one
-``Fraction``, Y / (Ds * Dx), equal to the direct method's.  Every sample must
-be finite.
+Exact contract: ``_coerce`` reads the samples once, as integers scaled by
+the lcm Dx of their denominators, and the diagonal constants through the same
+rule, scaled by the lcm Ds of theirs; the stages run on ``object`` arrays of
+Python ``int``, and each output is one ``Fraction``, Y / (Ds * Dx), equal to
+the direct method's.  Every sample must be finite.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import OpCounter, PreparedKernel, _coerce, _scaled
+from .kernels import OpCounter, PreparedKernel, _coerce
 
 __all__ = ["fir_filter", "apply_basic_op"]
 
@@ -73,10 +73,10 @@ def fir_filter(kernel: PreparedKernel, signal: Sequence,
 
     Returns a list of Python floats, or of ``Fraction`` in exact mode.
     Raises ValueError when the signal is shorter than the filter or an
-    exact-mode sample is inf or NaN, and TypeError when a sample is not a
-    real number.
+    exact-mode sample is inf or NaN, and TypeError when the signal breaks the
+    input rule.
     """
-    samples = _coerce(signal, kernel.exact)
+    samples, dx = _coerce(signal, kernel.exact)
     plan = kernel.plan
     m = plan.m
     n = len(signal)
@@ -84,11 +84,7 @@ def fir_filter(kernel: PreparedKernel, signal: Sequence,
         raise ValueError(f"signal has {n} samples, need at least {m}")
     n_out = n - m + 1
     windows = (n_out + 1) // 2
-    s = kernel.s
-    if kernel.exact:
-        samples, dx = _scaled(samples)
-        s, ds = _scaled(s)
-        scale = ds * dx
+    s, ds = _coerce(kernel.s, True) if kernel.exact else (kernel.s, 1)
     # object, not int64: the scaled integers are unbounded.
     dtype = object if kernel.exact else np.float64
     padded = np.zeros(2 * windows + m - 1, dtype)
@@ -110,7 +106,7 @@ def fir_filter(kernel: PreparedKernel, signal: Sequence,
     # mu stays referenced until the list is built: freed earlier, it lets
     # malloc trim the heap top that the next call then faults back in.
     if kernel.exact:
-        return [Fraction(v, scale) for v in out[:n_out].tolist()]
+        return [Fraction(v, ds * dx) for v in out[:n_out].tolist()]
     return out[:n_out].tolist()
 
 
@@ -120,7 +116,7 @@ def apply_basic_op(kernel: PreparedKernel, tile: Sequence, counter: OpCounter | 
     ``fir_filter`` over that window: t = a_pre @ x (additions only), mu = s *
     t (exactly P multiplications), y = a_post @ mu (additions only).  Raises
     ValueError on a wrong window length or an exact-mode sample that is inf
-    or NaN, and TypeError when a sample is not a real number.
+    or NaN, and TypeError when the window breaks the input rule.
     """
     if len(tile) != kernel.plan.m + 1:
         raise ValueError(f"window must have {kernel.plan.m + 1} samples, got {len(tile)}")

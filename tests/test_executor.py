@@ -119,7 +119,7 @@ values = st.one_of(st.floats(-1e6, 1e6), st.floats(width=64))
 @given(data=st.data(), m=st.one_of(st.integers(1, 40), st.just(1024)),
        extra=st.integers(0, 64),
        kind=st.sampled_from(["list", "int-list", "ndarray", "fraction-list"]))
-def test_float_executor_equals_scalar_kernel(data, m, extra, kind):
+def test_float_whole_signal_equals_per_window_runs(data, m, extra, kind):
     taps = data.draw(arrays(np.float64, m, elements=values))
     if kind == "int-list":
         signal = data.draw(arrays(np.int64, m + extra,

@@ -333,6 +333,59 @@ def test_one_input_rule_at_every_entry_point():
                 assert all(type(v) is (Fraction if exact else float) for v in out)
 
 
+def test_input_rule_admits_only_sequences_and_1d_arrays():
+    # m = 3: a set has no sample order (filtered, it runs in hash order), a
+    # dict iterates its keys and bytes are text, so even at the right length
+    # each is the input rule's TypeError at every entry point and in both
+    # modes.  fir_filter reads no length before the rule, so a generator and
+    # a 0-d array get the same TypeError there.
+    def containers(values):
+        return (set(values), frozenset(values), dict.fromkeys(values),
+                bytes(values), bytearray(values))
+
+    plan = generate_plan(3)
+    for exact in (False, True):
+        kernel = precompute_diagonal(plan, [1, 0, 0], exact=exact)
+        for x, w in zip(containers([100, 7, 33, 1]), containers([1, 2, 3])):
+            calls = (
+                lambda: fir_filter(kernel, x),
+                lambda: naive_fir(x, [1, 2, 3], exact),
+                lambda: naive_fir([1, 2, 3, 4], w, exact),
+                lambda: apply_basic_op(kernel, x),
+                lambda: apply_basic_op_naive([1, 2, 3], x, exact),
+                lambda: precompute_diagonal(plan, w, exact=exact),
+            )
+            for call in calls:
+                with pytest.raises(TypeError, match=f"must be real numbers.*got {type(x).__name__}"):
+                    call()
+        for signal, name in (((v for v in [1, 2, 3, 4]), "generator"), (np.array(5.0), "ndarray")):
+            with pytest.raises(TypeError, match=f"must be real numbers.*got {name}"):
+                fir_filter(kernel, signal)
+
+
+def test_exact_mode_reads_numpy_scalars_in_a_list_exactly():
+    # Numpy scalars inside a Python list: each is read through .item() (a
+    # longdouble stays itself) and its own integer ratio, never rounded or
+    # wrapped on the way.
+    signal = [np.int64(2**62 + 1), np.float32(0.1), np.bool_(True),
+              np.longdouble(1) / 3, Fraction(1, 7), 2**70]
+    taps = [np.float32(-0.3), 2**70 + 1, np.int64(-3), np.bool_(True), np.longdouble(2) / 7]
+
+    def rational(v):
+        return Fraction(*v.item().as_integer_ratio()) if isinstance(v, np.generic) else Fraction(v)
+
+    xq, wq = [rational(v) for v in signal], [rational(v) for v in taps]
+    want = [sum(xq[i + j] * wq[i] for i in range(5)) for j in range(2)]
+    plan = generate_plan(5)
+    kernel = precompute_diagonal(plan, taps, exact=True)
+    assert kernel.s == tuple(sum(c * wq[i] for i, c in t.row) / (2 if t.halved else 1)
+                             for t in plan.diag)
+    for got in (fir_filter(kernel, signal), list(apply_basic_op(kernel, signal)),
+                naive_fir(signal, taps, exact=True)):
+        assert got == want
+        assert all(type(v) is Fraction for v in got)
+
+
 def test_exact_mode_reads_longdouble_exactly():
     # Exact mode takes each np.longdouble through its own integer ratio; float
     # mode rounds it to float64 once.  Where longdouble is wider than float64,
