@@ -1,16 +1,22 @@
 """Diagonal constants, the input rule and operation counting.
 
 Samples and taps pass ``_coerce``, the one input rule: ``numbers.Real`` in a
-1-D ndarray or a sequence other than str, bytes or bytearray, else TypeError.
+1-D ndarray or a sequence other than str, bytes, bytearray or memoryview,
+else TypeError.
 Entry points that take the length first, all but ``fir_filter``, leave
 Python's own TypeError on an input that has none, such as a generator.  Exact
 mode also needs every value finite: inf or NaN raises ValueError.  Two
 arithmetics share one code path:
 
 * float mode (default): IEEE double arithmetic, summation in matrix-row index
-  order so results are bit-reproducible across runs;
+  order so results are bit-reproducible across runs.  Each value becomes one
+  float64 as numpy converts it, so an int beyond float range raises
+  OverflowError, as ``float()`` does.  A halved diagonal sum that overflows is
+  redone over its own row's halved taps, so the diagonal is linear in the plan;
 * exact mode: rational values, exact to the last digit.  ``_coerce`` reads
-  each value once, through its own ``as_integer_ratio()``, and returns Python
+  each value once, through its own ``as_integer_ratio()`` (a
+  ``numbers.Rational`` without one through its numerator and denominator; any
+  other Real without one is the rule's TypeError), and returns Python
   ints scaled by D, the lcm of the denominators, with D.  Every constant the
   plans produce is a signed tap sum divided by at most one factor of two, so
   2D times each constant is an integer: ``precompute_diagonal`` sums the
@@ -36,7 +42,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Real
+from numbers import Rational, Real
 
 import numpy as np
 
@@ -80,7 +86,7 @@ def _coerce(values: Sequence, exact: bool) -> tuple:
         if not exact and values.dtype.kind in "biuf":
             return values.astype(np.float64, copy=False), 1
         values = values.tolist()
-    elif not isinstance(values, Sequence) or isinstance(values, (str, bytes, bytearray)):
+    elif not isinstance(values, Sequence) or isinstance(values, (str, bytes, bytearray, memoryview)):
         values = [values]
     kinds = set(map(type, values))
     if bad := sorted(t.__name__ for t in kinds if not issubclass(t, (Real, np.bool_))):
@@ -88,11 +94,27 @@ def _coerce(values: Sequence, exact: bool) -> tuple:
     if not exact:
         return np.array(values, dtype=np.float64), 1
     try:
-        ratios = [(v.item() if isinstance(v, np.generic) else v).as_integer_ratio() for v in values]
+        try:
+            ratios = [(v.item() if isinstance(v, np.generic) else v).as_integer_ratio() for v in values]
+        except AttributeError:
+            ratios = [_ratio(v) for v in values]
     except (OverflowError, ValueError):
         raise ValueError("exact mode needs finite samples and taps, got inf or NaN") from None
     scale = math.lcm(*(d for _, d in ratios))
     return [n * (scale // d) for n, d in ratios], scale
+
+
+def _ratio(v) -> tuple:
+    # One value's integer ratio, read only once some value of the input lacks
+    # as_integer_ratio(), so the common types pay nothing for it: a Rational
+    # gives its numerator and denominator, any other Real breaks the rule.
+    v = v.item() if isinstance(v, np.generic) else v
+    if hasattr(v, "as_integer_ratio"):
+        return v.as_integer_ratio()
+    if isinstance(v, Rational):
+        return Fraction(v.numerator, v.denominator).as_integer_ratio()
+    raise TypeError(f"exact mode: samples and taps must be real numbers with an integer ratio, "
+                    f"got {type(v).__name__}")
 
 
 @dataclass(frozen=True)
@@ -113,12 +135,13 @@ def precompute_diagonal(plan: KernelPlan, taps: Sequence, exact: bool = False) -
     Each constant starts from zero and adds its signed taps in ascending
     index order.  In float mode a halved term divides that sum by two, which
     rounds only when the half is subnormal; a sum that overflows to +-inf is
-    redone on the halved taps, so a finite halved sum is not lost.  In exact
-    mode the taps are scaled to integers by the lcm D of their denominators,
-    and each constant is one ``Fraction`` of its integer sum over D, or over
-    2D when halved.  Raises ValueError when the tap count does not match the
-    plan or an exact-mode tap is inf or NaN, and TypeError when the taps break
-    the input rule.
+    redone on the row's own halved taps, so a finite halved sum is not lost
+    and the redo costs one row, not m taps.  In exact mode the taps are
+    scaled to integers by the lcm D of their denominators, and each constant
+    is one ``Fraction`` of its integer sum over D, or over 2D when halved.
+    Raises ValueError when the tap count does not match the plan or an
+    exact-mode tap is inf or NaN, and TypeError when the taps break the input
+    rule.
     """
     if len(taps) != plan.m:
         raise ValueError(f"plan is for {plan.m} taps, got {len(taps)}")
@@ -134,8 +157,8 @@ def precompute_diagonal(plan: KernelPlan, taps: Sequence, exact: bool = False) -
                 total = total + vec[i] if c > 0 else total - vec[i]
             if not (halve and math.isinf(total)):
                 break
-            # Redo the overflowed sum on the halved taps; it needs no halving.
-            vec, halve = [v / 2 for v in w], False
+            # Redo the overflowed sum on the row's halved taps; it needs no halving.
+            vec, halve = {i: w[i] / 2 for i, _ in term.row}, False
         if exact:
             s.append(Fraction(total, 2 * scale if term.halved else scale))
         else:

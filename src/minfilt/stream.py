@@ -39,16 +39,16 @@ from .kernels import OpCounter, PreparedKernel, _coerce
 __all__ = ["fir_filter", "apply_basic_op"]
 
 
-def _row_sums(rows, columns, zero) -> tuple[list, int]:
+def _row_sums(rows, columns) -> tuple[list, int]:
     # Signed sums of the columns over each row in ascending column order, and
     # the additions they took.  The first addition makes a new array and later
-    # ones update it in place; a lone term is +col or -col, so every array
-    # returned is a new one that the products may scale in place.
+    # ones update it in place; a lone term is +col or -col and an empty row new
+    # zeros, so every array returned is one the products may scale in place.
     sums = []
     adds = 0
     for row in rows:
         if not row:
-            sums.append(zero)
+            sums.append(np.zeros_like(columns[0]))
             continue
         j, sign = row[0]
         if len(row) == 1:
@@ -90,12 +90,11 @@ def fir_filter(kernel: PreparedKernel, signal: Sequence,
     padded = np.zeros(2 * windows + m - 1, dtype)
     padded[:n] = samples
     columns = [padded[j : j + 2 * windows : 2] for j in range(m + 1)]
-    zero = 0 if kernel.exact else 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        mu, pre_adds = _row_sums(plan.pre_rows, columns, zero)
+        mu, pre_adds = _row_sums(plan.pre_rows, columns)
         for k, sk in enumerate(s):
             mu[k] *= sk  # t_k becomes mu_k = s_k * t_k
-        (y0, y1), post_adds = _row_sums(plan.post_rows, mu, zero)
+        (y0, y1), post_adds = _row_sums(plan.post_rows, mu)
     if counter is not None:
         counter.pre_adds += pre_adds * windows
         counter.mults += len(mu) * windows

@@ -4,8 +4,10 @@ import json
 import math
 import pickle
 import struct
+import time
 from decimal import Decimal
 from fractions import Fraction
+from numbers import Rational, Real
 
 import numpy as np
 import pytest
@@ -207,39 +209,84 @@ def test_is_dyadic():
     assert not is_dyadic(0.5)
 
 
+SPECIAL_TAPS = [0.0, -0.0, float("inf"), -float("inf"), float("nan"),
+                5e-324, -5e-324, 2.2e-308, 1e308, -1e308, 1.0, -2.5]
+
+
+def bits(v):
+    return struct.pack("<d", v)
+
+
+def dense_scan(w, coeffs):
+    total = 0.0
+    for wi, c in zip(w, coeffs):
+        if c > 0:
+            total = total + wi
+        elif c < 0:
+            total = total - wi
+    return total
+
+
+def dense_diagonal(dense, taps):
+    # The dense recipe: each constant from +0.0 over all m coefficients, and a
+    # halved one whose sum is +-inf scanned again over all m halved taps.
+    want = []
+    for term in dense:
+        total = dense_scan(taps, term["coeffs"])
+        if term["halved"]:
+            halves = [wi / 2 for wi in taps]
+            total = dense_scan(halves, term["coeffs"]) if math.isinf(total) else total / 2
+        want.append(total)
+    return want
+
+
 def test_diagonal_bits_match_dense_recipe_on_special_taps():
     # Each constant starts from +0.0 and adds or subtracts its taps in
     # ascending index order, so signed zeros, infinities, NaN and subnormals
     # land exactly where the dense-coefficient scan puts them.  A halved term
     # whose sum is +-inf sums the halved taps instead.
-    specials = [0.0, -0.0, float("inf"), -float("inf"), float("nan"),
-                5e-324, -5e-324, 2.2e-308, 1e308, -1e308, 1.0, -2.5]
     rng = np.random.default_rng(11)
-    bits = lambda v: struct.pack("<d", v)
-
-    def scan(w, coeffs):
-        total = 0.0
-        for wi, c in zip(w, coeffs):
-            if c > 0:
-                total = total + wi
-            elif c < 0:
-                total = total - wi
-        return total
-
     for m in list(range(1, 17)) + [64]:
         plan = generate_plan(m)
         dense = json.loads(plan_to_json(plan))["diag"]
         for _ in range(10):
-            taps = rng.choice(specials, size=m).tolist()
-            want = []
-            for term in dense:
-                total = scan(taps, term["coeffs"])
-                if term["halved"]:
-                    halves = [wi / 2 for wi in taps]
-                    total = scan(halves, term["coeffs"]) if math.isinf(total) else total / 2
-                want.append(total)
+            taps = rng.choice(SPECIAL_TAPS, size=m).tolist()
             got = precompute_diagonal(plan, taps).s
-            assert [bits(v) for v in got] == [bits(v) for v in want]
+            assert [bits(v) for v in got] == [bits(v) for v in dense_diagonal(dense, taps)]
+
+
+def test_halved_overflow_at_m1024_matches_dense_recipe():
+    # The redo of an overflowed halved sum reads only its own row's taps; at
+    # m = 1024 it still gives the bits of the dense recipe, which halves all
+    # m taps.  Every draw overflows at least one halved sum.
+    m = 1024
+    plan = generate_plan(m)
+    dense = json.loads(plan_to_json(plan))["diag"]
+    rng = np.random.default_rng(15)
+    draws = [[1e308] * m, [-1e308] * m]
+    draws += [rng.choice(SPECIAL_TAPS + [1e308] * 6 + [-1e308] * 6, size=m).tolist()
+              for _ in range(4)]
+    for taps in draws:
+        overflowed = [t for t in dense if t["halved"] and math.isinf(dense_scan(taps, t["coeffs"]))]
+        assert overflowed
+        got = precompute_diagonal(plan, taps).s
+        assert [bits(v) for v in got] == [bits(v) for v in dense_diagonal(dense, taps)]
+
+
+def test_halved_overflow_retry_is_linear_in_the_plan():
+    # Every halved sum of 1e308 taps overflows and is redone; the redo reads
+    # one row, so it costs about what the first sum did, not a pass over all
+    # m taps per term.  Best of 5 interleaved runs each.
+    m = 4096
+    plan = generate_plan(m)
+    huge, finite = [1e308] * m, np.random.default_rng(4096).normal(size=m).tolist()
+    best = [math.inf, math.inf]
+    for _ in range(5):
+        for k, taps in enumerate((huge, finite)):
+            start = time.perf_counter()
+            precompute_diagonal(plan, taps)
+            best[k] = min(best[k], time.perf_counter() - start)
+    assert best[0] <= 10 * best[1]
 
 
 def test_halved_sum_overflow_stays_finite():
@@ -335,13 +382,14 @@ def test_one_input_rule_at_every_entry_point():
 
 def test_input_rule_admits_only_sequences_and_1d_arrays():
     # m = 3: a set has no sample order (filtered, it runs in hash order), a
-    # dict iterates its keys and bytes are text, so even at the right length
-    # each is the input rule's TypeError at every entry point and in both
-    # modes.  fir_filter reads no length before the rule, so a generator and
-    # a 0-d array get the same TypeError there.
+    # dict iterates its keys and bytes, bytearray and memoryview hold text as
+    # byte values, so even at the right length each is the input rule's
+    # TypeError at every entry point and in both modes.  fir_filter reads no
+    # length before the rule, so a generator and a 0-d array get the same
+    # TypeError there.
     def containers(values):
         return (set(values), frozenset(values), dict.fromkeys(values),
-                bytes(values), bytearray(values))
+                bytes(values), bytearray(values), memoryview(bytes(values)))
 
     plan = generate_plan(3)
     for exact in (False, True):
@@ -361,6 +409,99 @@ def test_input_rule_admits_only_sequences_and_1d_arrays():
         for signal, name in (((v for v in [1, 2, 3, 4]), "generator"), (np.array(5.0), "ndarray")):
             with pytest.raises(TypeError, match=f"must be real numbers.*got {name}"):
                 fir_filter(kernel, signal)
+
+
+class Q(Rational):
+    """A minimal Rational: a numerator and a denominator, no as_integer_ratio()."""
+
+    def __init__(self, numerator, denominator):
+        self._ratio = numerator, denominator
+
+    numerator = property(lambda self: self._ratio[0])
+    denominator = property(lambda self: self._ratio[1])
+
+
+class R(Real):
+    """A minimal Real that is not rational: only a float value."""
+
+    def __init__(self, value):
+        self._value = value
+
+    def __float__(self):
+        return self._value
+
+
+Q.__abstractmethods__ = R.__abstractmethods__ = frozenset()
+
+
+def test_rationals_without_integer_ratio_at_every_entry_point():
+    # m = 3: a Rational without as_integer_ratio() is read through its
+    # numerator and denominator in exact mode and through its own __float__
+    # in float mode, so it acts as the Fraction it stands for.  A Real that is
+    # not rational has a float value only: float mode takes it, exact mode
+    # raises the input rule's TypeError, never AttributeError.
+    plan = generate_plan(3)
+    as_fraction = lambda vs: [Fraction(v.numerator, v.denominator) if isinstance(v, Q) else v
+                              for v in vs]
+    for exact in (False, True):
+        x, w = [Q(1, 3), 1, 2, 3], [1, Q(-2, 7), 3]
+        xf, wf = as_fraction(x), as_fraction(w)
+        kernel, kernel_f = precompute_diagonal(plan, w, exact), precompute_diagonal(plan, wf, exact)
+        assert kernel.s == kernel_f.s
+        assert naive_fir(x, [1, 2, 3], exact) == ([Fraction(25, 3), 14] if exact
+                                                  else [8.333333333333334, 14.0])
+        pairs = (
+            (fir_filter(kernel, x), fir_filter(kernel_f, xf)),
+            (naive_fir(x, w, exact), naive_fir(xf, wf, exact)),
+            (list(apply_basic_op(kernel, x)), list(apply_basic_op(kernel_f, xf))),
+            (list(apply_basic_op_naive(w, x, exact)), list(apply_basic_op_naive(wf, xf, exact))),
+        )
+        for got, want in pairs:
+            assert got == want
+            assert all(type(v) is (Fraction if exact else float) for v in got)
+
+        x, w = [R(0.5), 1, 2, 3], [1, R(-0.25), 3]
+        kernel = precompute_diagonal(plan, [1, 2, 3], exact=exact)
+        calls = (
+            lambda: fir_filter(kernel, x),
+            lambda: naive_fir(x, [1, 2, 3], exact),
+            lambda: naive_fir([1, 2, 3, 4], w, exact),
+            lambda: apply_basic_op(kernel, x),
+            lambda: apply_basic_op_naive([1, 2, 3], x, exact),
+            lambda: precompute_diagonal(plan, w, exact=exact),
+        )
+        if exact:
+            for call in calls:
+                with pytest.raises(TypeError, match="must be real numbers.*got R$"):
+                    call()
+        else:
+            xf, wf = [0.5, 1, 2, 3], [1, -0.25, 3]
+            assert [call() for call in calls] == [
+                fir_filter(kernel, xf), naive_fir(xf, [1, 2, 3]), naive_fir([1, 2, 3, 4], wf),
+                apply_basic_op(kernel, xf), apply_basic_op_naive([1, 2, 3], xf),
+                precompute_diagonal(plan, wf)]
+
+
+def test_float_mode_rejects_ints_beyond_float_range():
+    # Float mode converts each value to float64 as numpy does, so an int too
+    # large for a float raises OverflowError at every entry point, as float()
+    # does.  Exact mode reads the same int exactly.
+    plan = generate_plan(3)
+    kernel = precompute_diagonal(plan, [1, 2, 3])
+    x, w = [2**2000, 1, 2, 3], [1, 2, 2**2000]
+    calls = (
+        lambda: fir_filter(kernel, x),
+        lambda: naive_fir(x, [1, 2, 3]),
+        lambda: naive_fir([1, 2, 3, 4], w),
+        lambda: apply_basic_op(kernel, x),
+        lambda: apply_basic_op_naive([1, 2, 3], x),
+        lambda: precompute_diagonal(plan, w),
+    )
+    for call in calls:
+        with pytest.raises(OverflowError, match="too large to convert to float"):
+            call()
+    exact = precompute_diagonal(plan, w, exact=True)
+    assert fir_filter(exact, x) == naive_fir(x, w, True) == [3 * 2**2000 + 2, 3 * 2**2000 + 5]
 
 
 def test_exact_mode_reads_numpy_scalars_in_a_list_exactly():
