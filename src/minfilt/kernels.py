@@ -20,8 +20,9 @@ arithmetics share one code path:
   ints scaled by D, the lcm of the denominators, with D.  Every constant the
   plans produce is a signed tap sum divided by at most one factor of two, so
   2D times each constant is an integer: ``precompute_diagonal`` sums the
-  scaled taps and divides once per constant.  Equality checks against the
-  direct method are exact.
+  scaled taps and keeps the diagonal as those integers over 2D, the form
+  ``fir_filter`` multiplies by, so it divides nothing.  Equality checks
+  against the direct method are exact.
 
 The executor, ``stream``, states its float and exact contracts.
 
@@ -94,10 +95,7 @@ def _coerce(values: Sequence, exact: bool) -> tuple:
     if not exact:
         return np.array(values, dtype=np.float64), 1
     try:
-        try:
-            ratios = [(v.item() if isinstance(v, np.generic) else v).as_integer_ratio() for v in values]
-        except AttributeError:
-            ratios = [_ratio(v) for v in values]
+        ratios = [_ratio(v) for v in values]
     except (OverflowError, ValueError):
         raise ValueError("exact mode needs finite samples and taps, got inf or NaN") from None
     scale = math.lcm(*(d for _, d in ratios))
@@ -105,9 +103,8 @@ def _coerce(values: Sequence, exact: bool) -> tuple:
 
 
 def _ratio(v) -> tuple:
-    # One value's integer ratio, read only once some value of the input lacks
-    # as_integer_ratio(), so the common types pay nothing for it: a Rational
-    # gives its numerator and denominator, any other Real breaks the rule.
+    # One value's integer ratio: its own as_integer_ratio(), else a Rational's
+    # numerator and denominator; any other Real breaks the rule.
     v = v.item() if isinstance(v, np.generic) else v
     if hasattr(v, "as_integer_ratio"):
         return v.as_integer_ratio()
@@ -121,12 +118,22 @@ def _ratio(v) -> tuple:
 class PreparedKernel:
     """A plan bound to one set of taps, diagonal already evaluated.
 
-    Immutable; safe to share between threads and reuse across windows.
+    ``scaled`` is the diagonal in the form ``_coerce`` gives inputs and
+    ``fir_filter`` multiplies by: in float mode the floats, with ``scale`` 1;
+    in exact mode Python ints over ``scale`` = 2D, where D is the lcm of the
+    taps' denominators.  ``s`` is the diagonal itself: ``scaled`` in float
+    mode, each ``Fraction(v, scale)`` in exact mode.  Immutable; safe to
+    share between threads and reuse across windows.
     """
 
     plan: KernelPlan
-    s: tuple
+    scaled: tuple
+    scale: int
     exact: bool
+
+    @property
+    def s(self) -> tuple:
+        return tuple(Fraction(v, self.scale) for v in self.scaled) if self.exact else self.scaled
 
 
 def precompute_diagonal(plan: KernelPlan, taps: Sequence, exact: bool = False) -> PreparedKernel:
@@ -138,7 +145,7 @@ def precompute_diagonal(plan: KernelPlan, taps: Sequence, exact: bool = False) -
     redone on the row's own halved taps, so a finite halved sum is not lost
     and the redo costs one row, not m taps.  In exact mode the taps are
     scaled to integers by the lcm D of their denominators, and each constant
-    is one ``Fraction`` of its integer sum over D, or over 2D when halved.
+    is its integer sum over 2D: the sum itself when halved, twice it if not.
     Raises ValueError when the tap count does not match the plan or an
     exact-mode tap is inf or NaN, and TypeError when the taps break the input
     rule.
@@ -160,15 +167,15 @@ def precompute_diagonal(plan: KernelPlan, taps: Sequence, exact: bool = False) -
             # Redo the overflowed sum on the row's halved taps; it needs no halving.
             vec, halve = {i: w[i] / 2 for i, _ in term.row}, False
         if exact:
-            s.append(Fraction(total, 2 * scale if term.halved else scale))
+            s.append(total if term.halved else 2 * total)
         else:
             s.append(total / 2 if halve else total)
-    return PreparedKernel(plan, tuple(s), exact)
+    return PreparedKernel(plan, tuple(s), 2 * scale if exact else 1, exact)
 
 
 def is_dyadic(value) -> bool:
     """True when the value is an exact rational with a power-of-two denominator."""
-    if isinstance(value, Fraction):
-        d = value.denominator
-        return d & (d - 1) == 0
-    return isinstance(value, int)
+    if not isinstance(value, Rational):
+        return False
+    d = value.denominator
+    return d & (d - 1) == 0

@@ -21,10 +21,11 @@ position, with sign and payload unspecified.  Overflow and invalid operations
 give inf and NaN without warnings, as Python floats do.
 
 Exact contract: ``_coerce`` reads the samples once, as integers scaled by
-the lcm Dx of their denominators, and the diagonal constants through the same
-rule, scaled by the lcm Ds of theirs; the stages run on ``object`` arrays of
-Python ``int``, and each output is one ``Fraction``, Y / (Ds * Dx), equal to
-the direct method's.  Every sample must be finite.
+the lcm Dx of their denominators, and the kernel holds the diagonal as
+integers over its ``scale``, twice the lcm of the taps' denominators; the
+stages run on ``object`` arrays of Python ``int``, and each output is one
+``Fraction``, Y / (scale * Dx), equal to the direct method's.  Every sample
+must be finite.
 """
 
 from __future__ import annotations
@@ -84,7 +85,6 @@ def fir_filter(kernel: PreparedKernel, signal: Sequence,
         raise ValueError(f"signal has {n} samples, need at least {m}")
     n_out = n - m + 1
     windows = (n_out + 1) // 2
-    s, ds = _coerce(kernel.s, True) if kernel.exact else (kernel.s, 1)
     # object, not int64: the scaled integers are unbounded.
     dtype = object if kernel.exact else np.float64
     padded = np.zeros(2 * windows + m - 1, dtype)
@@ -92,7 +92,7 @@ def fir_filter(kernel: PreparedKernel, signal: Sequence,
     columns = [padded[j : j + 2 * windows : 2] for j in range(m + 1)]
     with np.errstate(over="ignore", invalid="ignore"):
         mu, pre_adds = _row_sums(plan.pre_rows, columns)
-        for k, sk in enumerate(s):
+        for k, sk in enumerate(kernel.scaled):
             mu[k] *= sk  # t_k becomes mu_k = s_k * t_k
         (y0, y1), post_adds = _row_sums(plan.post_rows, mu)
     if counter is not None:
@@ -105,7 +105,7 @@ def fir_filter(kernel: PreparedKernel, signal: Sequence,
     # mu stays referenced until the list is built: freed earlier, it lets
     # malloc trim the heap top that the next call then faults back in.
     if kernel.exact:
-        return [Fraction(v, ds * dx) for v in out[:n_out].tolist()]
+        return [Fraction(v, kernel.scale * dx) for v in out[:n_out].tolist()]
     return out[:n_out].tolist()
 
 

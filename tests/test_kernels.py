@@ -8,6 +8,7 @@ import time
 from decimal import Decimal
 from fractions import Fraction
 from numbers import Rational, Real
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -44,6 +45,22 @@ def test_diagonal_float_mode():
     kernel = precompute_diagonal(generate_plan(3), [2, 4, 6])
     assert kernel.s == (2.0, 6.0, 2.0, 6.0)
     assert all(isinstance(v, float) for v in kernel.s)
+
+
+def test_exact_diagonal_is_integers_over_one_scale():
+    # The exact diagonal is held as ints over scale = 2D, the form fir_filter
+    # multiplies by, so integer taps make no Fraction in precompute_diagonal or
+    # fir_filter.  kernel.s gives the same values as Fractions.
+    with mock.patch("minfilt.kernels.Fraction", wraps=Fraction) as made:
+        kernel = precompute_diagonal(generate_plan(11), list(range(-5, 6)), exact=True)
+        fir_filter(kernel, list(range(26)))
+    assert made.call_count == 0
+    taps = [Fraction(1, 3), 0.25, 7]
+    kernel = precompute_diagonal(generate_plan(3), taps, exact=True)
+    assert kernel.scale == 2 * math.lcm(*(Fraction(v).denominator for v in taps))
+    assert all(type(v) is int for v in kernel.scaled)
+    assert kernel.s == tuple(Fraction(v, kernel.scale) for v in kernel.scaled)
+    assert kernel.s == (Fraction(1, 3), Fraction(91, 24), Fraction(85, 24), Fraction(7))
 
 
 def test_diagonal_rejects_wrong_tap_count():
@@ -207,6 +224,10 @@ def test_is_dyadic():
     assert is_dyadic(7)
     assert not is_dyadic(Fraction(1, 3))
     assert not is_dyadic(0.5)
+    assert is_dyadic(np.int64(4))
+    assert is_dyadic(np.int64(3))
+    assert is_dyadic(Q(3, 8))
+    assert not is_dyadic(Q(1, 3))
 
 
 SPECIAL_TAPS = [0.0, -0.0, float("inf"), -float("inf"), float("nan"),
