@@ -46,7 +46,6 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from itertools import accumulate, compress
 from typing import NamedTuple
 
@@ -146,8 +145,9 @@ class KernelPlan:
     ``pre_rows`` holds p rows over the m+1 window samples, ``post_rows`` two
     rows over the p products and ``diag`` p terms; a row is a tuple of
     (index, +-1) pairs in ascending index order, checked by ``validate_plan``.
-    Plans are immutable, hashable values, safe to share across threads.
-    ``a_pre`` and ``a_post`` are read-only int8 matrices derived on first read.
+    Plans are immutable, hashable values, safe to share across threads.  The
+    rows are a plan's only storage: each read of ``a_pre`` or ``a_post``
+    builds a fresh read-only int8 matrix from them, which the plan does not keep.
     """
 
     m: int
@@ -161,19 +161,28 @@ class KernelPlan:
         """Number of products (scalar multiplications) per window."""
         return len(self.diag)
 
-    @cached_property
+    @property
     def a_pre(self) -> np.ndarray:
         return _dense(self.pre_rows, self.m + 1)
 
-    @cached_property
+    @property
     def a_post(self) -> np.ndarray:
         return _dense(self.post_rows, self.p)
 
 
-def _dense(rows: tuple[_Row, ...], width: int) -> np.ndarray:
+def _int8(row: _Row) -> _Row:
+    # The one entry rule of every dense row, in memory or in a document, checked
+    # before numpy sees it: numpy < 2 wraps 300 to 44, numpy 2 raises OverflowError.
+    if any(not -128 <= v <= 127 for _, v in row):
+        raise ValueError(f"a matrix row has an entry outside int8: {row}")
+    return row
+
+
+def _dense(rows, width: int) -> np.ndarray:
+    # The only dense form of sparse rows: a fresh read-only int8 matrix.
     matrix = np.zeros((len(rows), width), dtype=np.int8)
     for r, row in enumerate(rows):
-        for j, v in row:
+        for j, v in _int8(row):
             matrix[r, j] = v
     matrix.flags.writeable = False
     return matrix
@@ -319,10 +328,7 @@ def plan_to_json(plan: KernelPlan) -> str:
     and separators are fixed, so serialize -> parse -> serialize is
     byte-identical.
     """
-    coeffs = [[0] * plan.m for _ in plan.diag]
-    for dense, term in zip(coeffs, plan.diag):
-        for i, c in term.row:
-            dense[i] = c
+    coeffs = _dense([t.row for t in plan.diag], plan.m).tolist()
     doc = {
         "m": plan.m,
         "blocks": [{"kind": b.kind.value, "offset": b.tap_offset} for b in plan.blocks],
@@ -340,8 +346,8 @@ def _typed(value, kind: type):
     return value
 
 
-def _rows_from_json(matrix, width: int, int8: bool = True) -> tuple[_Row, ...]:
-    # Dense JSON rows of `width` integers (int8 for matrix entries) as sparse rows.
+def _rows_from_json(matrix, width: int) -> tuple[_Row, ...]:
+    # Dense JSON rows of `width` int8 integers, all that _dense writes, as sparse rows.
     rows = []
     for values in _typed(matrix, list):
         if len(_typed(values, list)) != width:
@@ -349,9 +355,7 @@ def _rows_from_json(matrix, width: int, int8: bool = True) -> tuple[_Row, ...]:
         if not set(map(type, values)) <= {int}:
             bad = next(v for v in values if type(v) is not int)
             raise ValueError(f"entry {bad!r} is not a JSON integer")
-        rows.append(tuple([(j, values[j]) for j in compress(range(width), values)]))
-        if int8 and any(not -128 <= v <= 127 for _, v in rows[-1]):
-            raise ValueError(f"a matrix row has an entry outside int8: {rows[-1]}")
+        rows.append(_int8(tuple([(j, values[j]) for j in compress(range(width), values)])))
     return tuple(rows)
 
 
@@ -361,10 +365,12 @@ def plan_from_json(text: str) -> KernelPlan:
     Only the schema is enforced here; semantic invariants are left to
     ``validate_plan`` so that a corrupted document can still be loaded and
     reported on.  The schema admits exactly what ``plan_to_json`` writes: JSON
-    integers (not booleans) for ``m``, offsets, matrix entries (in int8) and
-    coefficients, JSON booleans for ``halved``, ``a_pre`` and ``a_post`` as
-    lists of rows m+1 and p entries wide (p diagonal terms) and m-long
-    ``coeffs`` lists.  Anything else raises ValueError.
+    integers (not booleans) for ``m`` and offsets, JSON integers within int8
+    for matrix entries and coefficients alike, JSON booleans for ``halved``,
+    ``a_pre`` and ``a_post`` as lists of rows m+1 and p entries wide (p
+    diagonal terms) and m-long ``coeffs`` lists.  Anything else raises
+    ValueError, so a coefficient of 300 is malformed while one of 2 loads and
+    is reported by ``validate_plan``.
     """
     try:
         doc = json.loads(text)
@@ -374,7 +380,7 @@ def plan_from_json(text: str) -> KernelPlan:
         m = _typed(doc["m"], int)
         blocks = tuple(Block(BlockKind(b["kind"]), _typed(b["offset"], int)) for b in doc["blocks"])
         terms = _typed(doc["diag"], list)
-        rows = _rows_from_json([t["coeffs"] for t in terms], m, int8=False)
+        rows = _rows_from_json([t["coeffs"] for t in terms], m)
         diag = tuple(DiagonalTerm(row, _typed(t["halved"], bool)) for row, t in zip(rows, terms))
         pre_rows = _rows_from_json(doc["a_pre"], m + 1)
         post_rows = _rows_from_json(doc["a_post"], len(diag))

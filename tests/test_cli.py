@@ -122,16 +122,18 @@ def test_verify_runs_the_shipped_executor(monkeypatch, capsys):
 
 
 def test_verify_rejects_malformed_plan_file(tmp_path, capsys):
-    # Numbers that overflow while parsing (an infinite m, an a_pre entry
-    # outside int8) or that are not integers (an a_pre entry of 1.5, which
-    # would otherwise load as 1 and pass) are a malformed document too, not
-    # a verification result.
+    # Numbers that overflow while parsing (an infinite m, an a_pre entry or
+    # a coefficient outside int8) or that are not integers (an a_pre entry of
+    # 1.5, which would otherwise load as 1 and pass) are a malformed document
+    # too, not a verification result.
     doc = json.loads(plan_to_json(generate_plan(3)))
     doc["a_pre"][0][0] = 300
+    coeff = json.loads(plan_to_json(generate_plan(3)))
+    coeff["diag"][0]["coeffs"][0] = 300
     fractional = json.loads(plan_to_json(generate_plan(3)))
     fractional["a_pre"][0][0] = 1.5
     target = tmp_path / "p.json"
-    for text in ("not json", '{"m": 1e400}', json.dumps(doc), json.dumps(fractional)):
+    for text in ("not json", '{"m": 1e400}', json.dumps(doc), json.dumps(coeff), json.dumps(fractional)):
         target.write_text(text)
         code, _, err = run(capsys, "verify", "--plan-file", str(target))
         assert code == 2

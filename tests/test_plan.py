@@ -136,6 +136,34 @@ def test_matrices_are_read_only():
         plan.a_post[0, 0] = 0
 
 
+def test_dense_forms_reject_entries_outside_int8():
+    # One rule on every numpy: numpy < 2 would wrap 300 to 44 in an int8
+    # matrix and numpy 2 raises OverflowError.  Coefficients obey it too.
+    plan = generate_plan(3)
+    big_pre = replace(plan, pre_rows=with_entry(plan.pre_rows, 0, 0, (0, 300)))
+    with pytest.raises(ValueError, match="outside int8"):
+        big_pre.a_pre
+    big_coeff = replace(plan, diag=(DiagonalTerm(((0, 300),), False),) + plan.diag[1:])
+    for bad in (big_pre, big_coeff):
+        with pytest.raises(ValueError, match="outside int8"):
+            plan_to_json(bad)
+
+
+def test_dense_forms_are_not_kept_by_the_plan():
+    # A plan stores only its sparse rows: at m = 3000 the dense a_pre alone
+    # is 12 MB, and reading it must leave nothing behind on the plan.
+    plan = generate_plan(3000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(2):
+            assert plan.a_pre.shape == (plan.p, 3001) and plan.a_post.shape == (2, plan.p)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 1e6, grown
+
+
 def test_validate_generated_plans():
     for m in range(1, 17):
         report = validate_plan(generate_plan(m))
@@ -276,6 +304,7 @@ def test_json_rejects_malformed_documents():
         _edited_plan3("a_pre", 0, 0, 1.5),
         _edited_plan3("a_post", 0, 0, True),
         _edited_plan3("diag", 0, "coeffs", 0, 1.9),
+        _edited_plan3("diag", 0, "coeffs", 0, 300),  # outside int8, like any entry
         _edited_plan3("m", 3.7),
         _edited_plan3("diag", 1, "halved", "false"),
         _edited_plan3("blocks", 0, "offset", "0"),
@@ -303,6 +332,7 @@ def test_json_loads_invalid_plans_for_validation():
     # validate_plan can report an entry of 2 or a wrong row count.
     cases = [
         (_edited_plan3("a_pre", 0, 0, 2), "ternary-entry"),
+        (_edited_plan3("diag", 0, "coeffs", 0, 2), "ternary-entry"),
         (_edited_plan3("a_pre", [[1, 0, -1, 0]]), "a_pre shape (1, 4), expected (4, 4)"),
         (_edited_plan3("a_post", [[1, 1, 1, 0]]), "a_post shape (1, 4), expected (2, 4)"),
     ]
