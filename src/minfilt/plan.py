@@ -46,6 +46,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import accumulate, compress
 from typing import NamedTuple
 
@@ -146,8 +147,11 @@ class KernelPlan:
     rows over the p products and ``diag`` p terms; a row is a tuple of
     (index, +-1) pairs in ascending index order, checked by ``validate_plan``.
     Plans are immutable, hashable values, safe to share across threads.  The
-    rows are a plan's only storage: each read of ``a_pre`` or ``a_post``
-    builds a fresh read-only int8 matrix from them, which the plan does not keep.
+    rows are a plan's only stored data: each read of ``a_pre`` or ``a_post``
+    builds a fresh read-only int8 matrix from them, which the plan does not
+    keep.  The executor's schedule is derived from the rows alone on first use
+    and cached outside the fields, so equality, hashing and
+    ``dataclasses.replace`` never see it.
     """
 
     m: int
@@ -168,6 +172,74 @@ class KernelPlan:
     @property
     def a_post(self) -> np.ndarray:
         return _dense(self.post_rows, self.p)
+
+    @cached_property
+    def _schedule(self) -> _Schedule:
+        return _make_schedule(self)
+
+
+class _Schedule(NamedTuple):
+    # A plan's rows as the batched executor reads them.  ``pre`` holds one
+    # (rows, terms) pair per run of pre rows with one shape whose row index and
+    # first column both step evenly: ``rows`` slices the products and each term
+    # is a (columns slice, sign) pair.  ``post`` holds per output row the
+    # product of each term in order and a (terms, 1) mask of the negative
+    # ones, or None when there are none.
+    pre: tuple[tuple[slice, tuple[tuple[slice, int], ...]], ...]
+    post: tuple[tuple[np.ndarray, np.ndarray | None], ...]
+    pre_adds: int   # additions per window, as the rows define them
+    post_adds: int
+
+
+def _make_schedule(plan: KernelPlan) -> _Schedule:
+    # Linear in the plan.  Pre rows are grouped by shape (each index relative
+    # to the row's first) and by the distance to the previous row of that
+    # shape, which keeps apart runs that interleave, as a template's two rows
+    # of one shape do; each group splits greedily into runs.
+    fault = _fit_fault(plan)
+    if fault:
+        raise ValueError(f"plan rows do not fit its matrices: {fault}")
+    groups: dict = {}
+    last: dict = {}
+    for k, row in enumerate(plan.pre_rows):
+        if row:
+            c = row[0][0]
+            shape = tuple([(j - c, v) for j, v in row])
+            groups.setdefault((shape, k - last.get(shape, k)), []).append((k, c))
+            last[shape] = k
+    pre = []
+    for (shape, _), points in groups.items():
+        i = 0
+        while i < len(points):
+            (k, c), n, dk, dc = points[i], 1, 1, 1
+            if i + 1 < len(points) and points[i + 1][1] > c:
+                dk, dc = points[i + 1][0] - k, points[i + 1][1] - c
+                while i + n < len(points) and points[i + n] == (k + n * dk, c + n * dc):
+                    n += 1
+            terms = tuple((slice(c + o, c + o + (n - 1) * dc + 1, dc), v) for o, v in shape)
+            pre.append((slice(k, k + (n - 1) * dk + 1, dk), terms))
+            i += n
+    post = tuple((np.array([k for k, _ in row], np.intp),
+                  np.array([[v < 0] for _, v in row]) if any(v < 0 for _, v in row) else None)
+                 for row in plan.post_rows)
+    adds = [sum(len(row) - 1 for row in rows if row) for rows in (plan.pre_rows, plan.post_rows)]
+    return _Schedule(tuple(pre), post, *adds)
+
+
+def _fit_fault(plan: KernelPlan) -> str | None:
+    # What the executor needs of a plan's shape: one diagonal term per pre row,
+    # two post rows and every index inside its matrix.  Without this check a
+    # negative index wraps and a missing term leaves a product unscaled.
+    pre, p = len(plan.pre_rows), len(plan.diag)
+    if pre != p:
+        return f"a_pre row {p} has no diagonal term" if pre > p else f"diag term {pre} has no a_pre row"
+    if len(plan.post_rows) != 2:
+        return f"{len(plan.post_rows)} a_post rows, expected 2"
+    for name, rows, width in (("a_pre row", plan.pre_rows, plan.m + 1), ("a_post row", plan.post_rows, p)):
+        for k, row in enumerate(rows):
+            if any(not 0 <= j < width for j, _ in row):
+                return f"{name} {k} has an index outside [0, {width})"
+    return None
 
 
 def _int8(row: _Row) -> _Row:

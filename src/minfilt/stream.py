@@ -8,9 +8,26 @@ window.  ``apply_basic_op`` is the one-window case: a signal of m+1 samples.
 ``fir_filter`` runs each stage once over the whole signal.  Sample j of every
 window is the stride-2 column x[j::2]: each ``a_pre`` row is a signed sum of
 columns, each diagonal product one vector multiply and each ``a_post`` row a
-signed sum of those, so P vector multiplies of length ceil((N-m+1)/2) replace
-one Python basic operation per window.  The signal enters through
+signed sum of those, so P vector multiplies of length W = ceil((N-m+1)/2)
+replace one Python basic operation per window.  The signal enters through
 ``kernels._coerce``, the one input rule, as the arithmetic computes on it.
+There are two forms of the stages, picked by W and the arithmetic:
+
+* a float call of fewer than ``_BATCH_WINDOWS`` windows runs ``_batched``:
+  each stage as a few numpy calls over all rows, read from the plan's cached
+  schedule.  That is one call per term for each run of same-shaped pre rows
+  into one (P, W) array, one broadcast multiply, and per output row one
+  gather of its signed terms and one fold.  On a short call the cost is
+  numpy calls, not arithmetic: at m = 1024 this makes a few dozen of them,
+  against ~5,000 row by row;
+* longer float calls, and every exact call, run ``_row_sums``: one vector
+  operation per row term.  At that length it allocates less than the (P, W)
+  arrays; in exact mode each operation is a Python int operation per
+  window anyway, and the batched form measured slower there.
+
+Both forms give the same bits (the batched fold adds -b where ``_row_sums``
+subtracts b, the same IEEE result), count the same operations per row, and
+raise one ValueError for a plan whose rows do not fit its matrices.
 
 Float contract: float64 arrays, each row summed in ascending column order,
 with a - b where a dense scan forms a + (-b): per window, the IEEE operations
@@ -38,6 +55,11 @@ import numpy as np
 from .kernels import OpCounter, PreparedKernel, _coerce
 
 __all__ = ["fir_filter", "apply_basic_op"]
+
+# Float calls with fewer windows than this run each stage as a few numpy calls
+# over all rows (``_batched``); longer calls run one numpy call per row term
+# (``_row_sums``), which allocates less at that length.
+_BATCH_WINDOWS = 256
 
 
 def _row_sums(rows, columns) -> tuple[list, int]:
@@ -68,6 +90,44 @@ def _row_sums(rows, columns) -> tuple[list, int]:
     return sums, adds
 
 
+def _batched(schedule, kernel: PreparedKernel, padded: np.ndarray, windows: int) -> tuple[list, np.ndarray]:
+    # The three float stages over all rows at once, from the plan's schedule:
+    # per row and window the bits of _row_sums.  Column j of `columns` is
+    # padded[j::2], sample j of every window.  Returns the two output rows and
+    # the (P, W) products.
+    step = padded.strides[0]
+    columns = np.ndarray((len(padded) - 2 * windows + 2, windows), padded.dtype, padded, 0,
+                         (step, 2 * step))
+    t = np.zeros((kernel.plan.p, windows))
+    for rows, terms in schedule.pre:
+        run = t[rows]
+        (cols, sign), *rest = terms
+        if sign > 0:
+            run[...] = columns[cols]
+        else:
+            np.negative(columns[cols], run)
+        for cols, sign in rest:
+            (np.add if sign > 0 else np.subtract)(run, columns[cols], run)
+    t *= np.array(kernel.scaled)[:, None]
+    ys = []
+    for products, negative in schedule.post:
+        if not len(products):
+            ys.append(np.zeros(windows))
+            continue
+        terms = t.take(products, 0)
+        if negative is not None:
+            np.negative(terms, terms, where=negative)
+        # Each column is a left fold of its terms.  With two windows or more,
+        # reduce adds the rows in order, from the first (from its +0.0 identity,
+        # -0.0 terms would sum to +0.0); on one window it sums pairwise, and
+        # accumulate does not.
+        if windows == 1:
+            ys.append(np.add.accumulate(terms)[-1])
+        else:
+            ys.append(np.add.reduce(terms, 0, initial=None))
+    return ys, t
+
+
 def fir_filter(kernel: PreparedKernel, signal: Sequence,
                counter: OpCounter | None = None) -> list:
     """Compute all N - m + 1 valid outputs via ceil((N-m+1)/2) basic ops.
@@ -85,16 +145,21 @@ def fir_filter(kernel: PreparedKernel, signal: Sequence,
         raise ValueError(f"signal has {n} samples, need at least {m}")
     n_out = n - m + 1
     windows = (n_out + 1) // 2
+    schedule = plan._schedule  # built once per plan; raises if the rows do not fit
     # object, not int64: the scaled integers are unbounded.
     dtype = object if kernel.exact else np.float64
     padded = np.zeros(2 * windows + m - 1, dtype)
     padded[:n] = samples
-    columns = [padded[j : j + 2 * windows : 2] for j in range(m + 1)]
     with np.errstate(over="ignore", invalid="ignore"):
-        mu, pre_adds = _row_sums(plan.pre_rows, columns)
-        for k, sk in enumerate(kernel.scaled):
-            mu[k] *= sk  # t_k becomes mu_k = s_k * t_k
-        (y0, y1), post_adds = _row_sums(plan.post_rows, mu)
+        if windows < _BATCH_WINDOWS and not kernel.exact:
+            (y0, y1), mu = _batched(schedule, kernel, padded, windows)
+            pre_adds, post_adds = schedule.pre_adds, schedule.post_adds
+        else:
+            columns = [padded[j : j + 2 * windows : 2] for j in range(m + 1)]
+            mu, pre_adds = _row_sums(plan.pre_rows, columns)
+            for k, sk in enumerate(kernel.scaled):
+                mu[k] *= sk  # t_k becomes mu_k = s_k * t_k
+            (y0, y1), post_adds = _row_sums(plan.post_rows, mu)
     if counter is not None:
         counter.pre_adds += pre_adds * windows
         counter.mults += len(mu) * windows

@@ -8,6 +8,7 @@ counts must equal the per-window sum.
 """
 
 import functools
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -27,8 +28,11 @@ from minfilt import (
     fir_filter,
     generate_plan,
     naive_fir,
+    plan_to_json,
     precompute_diagonal,
 )
+from minfilt.stream import _BATCH_WINDOWS
+from test_kernels import dense_scan_outputs, nan_or_bits
 
 plan_for = functools.lru_cache(maxsize=None)(generate_plan)
 
@@ -109,6 +113,49 @@ def test_hand_built_plan_with_shared_and_empty_rows():
         got = fir_filter(kernel, signal)
         assert got == per_window(kernel, signal) == [3.0, 0, -1.5, 0, 24.0]
         assert all(type(v) is kind for v in got)
+
+    # A lone negative pre term, and a post row over the empty product alone:
+    # with a negative tap its product is -0.0, and y1 = -mu_2 is +0.0.  Both
+    # forms, on 3 windows and on _BATCH_WINDOWS, bit-equal to the dense scan
+    # and counted per row: no pre-additions, two post-additions per window.
+    lone = replace(plan, pre_rows=(((0, 1),), ((1, -1),), ()),
+                   post_rows=(((0, 1), (1, 1), (2, 1)), ((2, -1),)))
+    doc = json.loads(plan_to_json(lone))
+    rng = np.random.default_rng(3)
+    for windows in (3, _BATCH_WINDOWS):
+        signal = rng.choice([-0.0, 0.0, 1.5, -2.0, math.inf, math.nan], size=2 * windows)
+        for tap in (-0.5, 3.0):
+            kernel = precompute_diagonal(lone, [tap])
+            counter = OpCounter()
+            got = fir_filter(kernel, signal, counter)
+            want = dense_scan_outputs(doc, kernel.s, signal)
+            assert [nan_or_bits(v) for v in got] == [nan_or_bits(v) for v in want]
+            assert counter == OpCounter(pre_adds=0, mults=3 * windows, post_adds=2 * windows)
+        exact = precompute_diagonal(lone, [Fraction(-1, 2)], exact=True)
+        finite = [0 if math.isnan(v) or math.isinf(v) else v for v in signal]
+        assert fir_filter(exact, finite) == per_window(exact, finite)
+
+
+def test_plan_whose_rows_do_not_fit_raises_in_both_forms():
+    # Taps [1, 2, 3] over samples 1, 2, ... give 14, 20, 26, ...  A negative
+    # index would wrap to the last column, a missing diagonal term would leave
+    # a product unscaled and an index past its matrix would fail inside numpy;
+    # each is one ValueError naming the row, on 3 windows and on _BATCH_WINDOWS.
+    plan = generate_plan(3)
+    assert fir_filter(precompute_diagonal(plan, [1, 2, 3]), [1, 2, 3, 4, 5]) == [14.0, 20.0, 26.0]
+    cases = [
+        (replace(plan, pre_rows=(((-1, 1), (2, -1)),) + plan.pre_rows[1:]), "a_pre row 0 has an index"),
+        (replace(plan, diag=plan.diag[:-1]), "a_pre row 3 has no diagonal term"),
+        (replace(plan, post_rows=(plan.post_rows[0] + ((4, 1),), plan.post_rows[1])),
+         "a_post row 0 has an index"),
+    ]
+    for bad, message in cases:
+        kernel = precompute_diagonal(bad, [1, 2, 3])
+        for n in (5, 2 * _BATCH_WINDOWS + 2):
+            with pytest.raises(ValueError, match=message):
+                fir_filter(kernel, list(range(1, n + 1)))
+        with pytest.raises(ValueError, match=message):
+            apply_basic_op(kernel, [1, 2, 3, 4])
 
 
 # Values: mostly moderate, sometimes extreme or non-finite.

@@ -24,6 +24,7 @@ from minfilt import (
     plan_to_json,
     precompute_diagonal,
 )
+from minfilt.stream import _BATCH_WINDOWS
 
 BOUND = 2**20
 
@@ -321,38 +322,84 @@ def test_halved_sum_overflow_stays_finite():
     assert fir_filter(kernel, signal) == want
 
 
+def nan_or_bits(v):
+    return "nan" if math.isnan(v) else struct.pack("<d", v)
+
+
+def dense_row_scan(rows, vec):
+    # Each dense row summed in ascending column order: its first nonzero term
+    # is v or -v, each later one added or subtracted; an empty row is 0.0.
+    # The entries of vec may be floats or numpy arrays of them.
+    sums = []
+    for row in rows:
+        acc = None
+        for v, c in zip(vec, row):
+            if c == 0:
+                continue
+            if acc is None:
+                acc = v if c > 0 else -v
+            else:
+                acc = acc + v if c > 0 else acc - v
+        sums.append(0.0 if acc is None else acc)
+    return sums
+
+
+def dense_scan_outputs(doc, s, signal) -> list:
+    """fir_filter's outputs read from a plan document's dense rows.
+
+    Every window at once: column j holds sample j of each window, as a numpy
+    array, so each scan operation is one IEEE operation per window.
+    """
+    m = doc["m"]
+    n_out = len(signal) - m + 1
+    windows = (n_out + 1) // 2
+    x = np.zeros(2 * windows + m - 1)
+    x[: len(signal)] = signal
+    columns = [x[j : j + 2 * windows : 2] for j in range(m + 1)]
+    with np.errstate(all="ignore"):
+        mu = [sk * tk for sk, tk in zip(s, dense_row_scan(doc["a_pre"], columns))]
+        y0, y1 = dense_row_scan(doc["a_post"], mu)
+    out = np.empty(2 * windows)
+    out[0::2] = y0
+    out[1::2] = y1
+    return out[:n_out].tolist()
+
+
 def test_basic_op_matches_dense_row_scan_on_special_values():
     # apply_basic_op against its definition, read from the dense a_pre and
     # a_post rows of the JSON document: each row summed in ascending column
     # order, each product s_k * t_k.  Bit for bit; a NaN only has to meet a NaN.
-    specials = [0.0, -0.0, float("inf"), -float("inf"), float("nan"),
-                5e-324, -5e-324, 2.2e-308, 1e308, -1e308, 1.0, -2.5]
     rng = np.random.default_rng(12)
-    bits = lambda v: "nan" if math.isnan(v) else struct.pack("<d", v)
-
-    def scan(rows, vec):
-        sums = []
-        for row in rows:
-            acc = None
-            for v, c in zip(vec, row):
-                if c == 0:
-                    continue
-                if acc is None:
-                    acc = v if c > 0 else -v
-                else:
-                    acc = acc + v if c > 0 else acc - v
-            sums.append(0.0 if acc is None else acc)
-        return sums
-
     for m in list(range(1, 17)) + [64]:
         plan = generate_plan(m)
         doc = json.loads(plan_to_json(plan))
         for _ in range(10):
-            kernel = precompute_diagonal(plan, rng.choice(specials, size=m).tolist())
-            x = rng.choice(specials, size=m + 1).tolist()
-            mu = [sk * tk for sk, tk in zip(kernel.s, scan(doc["a_pre"], x))]
-            want = scan(doc["a_post"], mu)
-            assert [bits(v) for v in apply_basic_op(kernel, x)] == [bits(v) for v in want]
+            kernel = precompute_diagonal(plan, rng.choice(SPECIAL_TAPS, size=m).tolist())
+            x = rng.choice(SPECIAL_TAPS, size=m + 1).tolist()
+            mu = [sk * tk for sk, tk in zip(kernel.s, dense_row_scan(doc["a_pre"], x))]
+            want = dense_row_scan(doc["a_post"], mu)
+            assert [nan_or_bits(v) for v in apply_basic_op(kernel, x)] == [nan_or_bits(v) for v in want]
+
+
+def test_whole_signal_matches_dense_row_scan_on_special_values():
+    # fir_filter over whole signals, batched below _BATCH_WINDOWS windows and
+    # row by row from there, against the dense rows of the JSON document rather
+    # than the executor itself.  Odd output counts pad the last window.  Draws
+    # from all the special values and from their finite part, so that wide
+    # filters also give outputs other than NaN.
+    finite = [v for v in SPECIAL_TAPS if abs(v) < 1e300]
+    rng = np.random.default_rng(18)
+    for m in list(range(1, 17)) + [64, 1024]:
+        plan = generate_plan(m)
+        doc = json.loads(plan_to_json(plan))
+        for windows in (1, 2, 3, _BATCH_WINDOWS - 1, _BATCH_WINDOWS, 2 * _BATCH_WINDOWS + 5):
+            for values in (SPECIAL_TAPS, finite):
+                n = 2 * windows + m - 1 - int(rng.integers(2))
+                kernel = precompute_diagonal(plan, rng.choice(values, size=m).tolist())
+                signal = rng.choice(values, size=n)
+                got = fir_filter(kernel, signal)
+                want = dense_scan_outputs(doc, kernel.s, signal)
+                assert [nan_or_bits(v) for v in got] == [nan_or_bits(v) for v in want]
 
 
 def test_diagonal_rejects_text_taps():
