@@ -26,16 +26,14 @@ arithmetics share one code path:
 
 The executor, ``stream``, states its float and exact contracts.
 
-``OpCounter`` instruments the very path that computes the result, split by
-stage, and each stage adds its counts once, when it ends: the products are
-the length of ``mu``, and each addition of ``a_pre`` and ``a_post`` is
-tallied by the row sum that makes it, or, for all rows at once, by the
-plan's schedule of those rows.  One vector operation over W windows
-counts as W scalar operations.  The counted arithmetic is thus the shipped
-arithmetic.  Sign flips on ternary-matrix entries are not multiplications and
-are not counted.  The direct method (``reference.apply_basic_op_naive``)
-counts its 2m products and 2(m-1) additions from its loop shape: two outputs
-of m products summed in order.
+``OpCounter`` counts the path that computes the result, split by stage, once
+per call: the products are the length of ``mu``, and the additions of each
+``a_pre`` and ``a_post`` row are len(row) - 1, tallied once by the plan's
+schedule, as both executor forms make them.  One vector operation over W
+windows counts as W scalar operations.  Sign flips on ternary-matrix entries
+are not multiplications and are not counted.  The direct method
+(``reference.apply_basic_op_naive``) counts its 2m products and 2(m-1)
+additions from its loop shape: two outputs of m products summed in order.
 """
 
 from __future__ import annotations

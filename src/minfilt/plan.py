@@ -149,9 +149,9 @@ class KernelPlan:
     Plans are immutable, hashable values, safe to share across threads.  The
     rows are a plan's only stored data: each read of ``a_pre`` or ``a_post``
     builds a fresh read-only int8 matrix from them, which the plan does not
-    keep.  The executor's schedule is derived from the rows alone on first use
-    and cached outside the fields, so equality, hashing and
-    ``dataclasses.replace`` never see it.
+    keep.  The executor's schedule, derived from rows that pass the admission
+    rule of ``stream`` on first use, is cached outside the fields, so
+    equality, hashing and ``dataclasses.replace`` never see it.
     """
 
     m: int
@@ -196,9 +196,9 @@ def _make_schedule(plan: KernelPlan) -> _Schedule:
     # to the row's first) and by the distance to the previous row of that
     # shape, which keeps apart runs that interleave, as a template's two rows
     # of one shape do; each group splits greedily into runs.
-    fault = _fit_fault(plan)
-    if fault:
-        raise ValueError(f"plan rows do not fit its matrices: {fault}")
+    faults = _row_faults(plan)
+    if faults:
+        raise ValueError(f"plan rows do not fit its matrices: {faults[0]}")
     groups: dict = {}
     last: dict = {}
     for k, row in enumerate(plan.pre_rows):
@@ -224,22 +224,6 @@ def _make_schedule(plan: KernelPlan) -> _Schedule:
                  for row in plan.post_rows)
     adds = [sum(len(row) - 1 for row in rows if row) for rows in (plan.pre_rows, plan.post_rows)]
     return _Schedule(tuple(pre), post, *adds)
-
-
-def _fit_fault(plan: KernelPlan) -> str | None:
-    # What the executor needs of a plan's shape: one diagonal term per pre row,
-    # two post rows and every index inside its matrix.  Without this check a
-    # negative index wraps and a missing term leaves a product unscaled.
-    pre, p = len(plan.pre_rows), len(plan.diag)
-    if pre != p:
-        return f"a_pre row {p} has no diagonal term" if pre > p else f"diag term {pre} has no a_pre row"
-    if len(plan.post_rows) != 2:
-        return f"{len(plan.post_rows)} a_post rows, expected 2"
-    for name, rows, width in (("a_pre row", plan.pre_rows, plan.m + 1), ("a_post row", plan.post_rows, p)):
-        for k, row in enumerate(rows):
-            if any(not 0 <= j < width for j, _ in row):
-                return f"{name} {k} has an index outside [0, {width})"
-    return None
 
 
 def _int8(row: _Row) -> _Row:
@@ -303,33 +287,39 @@ class ValidationReport:
         return not self.failures
 
 
-def _check_structure(plan: KernelPlan, fail: list[str]) -> None:
+def _row_faults(plan: KernelPlan) -> list[str]:
+    # The row rule, what the executor admits: at least one tap and one product,
+    # one a_pre row per diagonal term, two a_post rows, and each row sound.
     if plan.m < 1:
-        fail.append(f"tap count must be >= 1, got {plan.m}")
-        return
-
-    # m may come from a document: compare lengths before building range(m).
-    covered = sorted(t for b in plan.blocks for t in range(b.tap_offset, b.tap_offset + b.tap_count))
-    if len(covered) != plan.m or covered != list(range(plan.m)):
-        fail.append(f"blocks do not tile the tap range [0, {plan.m}) exactly once")
-
-    p = sum(b.product_count for b in plan.blocks)
-    if len(plan.diag) != p:
-        fail.append(f"dimension violation: {len(plan.diag)} diagonal terms, blocks need {p}")
+        return [f"tap count must be >= 1, got {plan.m}"]
+    p = len(plan.diag)
+    fail = [] if p else ["a plan needs at least one diagonal term"]
     if len(plan.pre_rows) != p:
         fail.append(f"dimension violation: a_pre shape {(len(plan.pre_rows), plan.m + 1)}, expected {(p, plan.m + 1)}")
     if len(plan.post_rows) != 2:
-        fail.append(f"dimension violation: a_post shape {(len(plan.post_rows), plan.p)}, expected {(2, p)}")
-
+        fail.append(f"dimension violation: a_post shape {(len(plan.post_rows), p)}, expected {(2, p)}")
     for name, rows, width in (
         ("a_pre row", plan.pre_rows, plan.m + 1),
-        ("a_post row", plan.post_rows, plan.p),
+        ("a_post row", plan.post_rows, p),
         ("diag term", [term.row for term in plan.diag], plan.m),
     ):
         for k, row in enumerate(rows):
             fault = _row_fault(row, width)
             if fault:
                 fail.append(fault.format(f"{name} {k}"))
+    return fail
+
+
+def _check_blocks(plan: KernelPlan, fail: list[str]) -> None:
+    # What only validate_plan checks: the tiling, the product count the blocks
+    # need and the halving forms.  m may come from a document: compare lengths
+    # before building range(m).
+    covered = sorted(t for b in plan.blocks for t in range(b.tap_offset, b.tap_offset + b.tap_count))
+    if len(covered) != plan.m or covered != list(range(plan.m)):
+        fail.append(f"blocks do not tile the tap range [0, {plan.m}) exactly once")
+    p = sum(b.product_count for b in plan.blocks)
+    if len(plan.diag) != p:
+        fail.append(f"dimension violation: {len(plan.diag)} diagonal terms, blocks need {p}")
     for k, term in enumerate(plan.diag):
         if term.halved and tuple([(i - term.row[0][0], c) for i, c in term.row]) not in _HALVED_ROWS:
             fail.append(f"diag term {k} is halved but is not of the form (w[a] +/- w[a+1] + w[a+2]) / 2")
@@ -381,15 +371,17 @@ def _check_identity(plan: KernelPlan, fail: list[str]) -> None:
 def validate_plan(plan: KernelPlan) -> ValidationReport:
     """Check every structural invariant plus the correctness identity.
 
-    Structural failures (ternary entries, dimensions, block tiling, halving
-    recipe) are all reported; the identity is only checked when the structure
-    is sound enough to evaluate.  It is proven from the plan's integers, not
-    sampled, and the first (output, tap, sample) that differs is reported.
+    Structural failures are all reported: the row checks the executor admits
+    plans by (entries, dimensions, indices), block tiling and halving recipe.
+    The identity is only checked when the structure is sound enough to
+    evaluate.  It is proven from the plan's integers, not sampled, and the
+    first (output, tap, sample) that differs is reported.
     """
-    failures: list[str] = []
-    _check_structure(plan, failures)
-    if not failures:
-        _check_identity(plan, failures)
+    failures = _row_faults(plan)
+    if plan.m >= 1:
+        _check_blocks(plan, failures)
+        if not failures:
+            _check_identity(plan, failures)
     return ValidationReport(failures)
 
 

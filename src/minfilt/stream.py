@@ -26,8 +26,20 @@ There are two forms of the stages, picked by W and the arithmetic:
   window anyway, and the batched form measured slower there.
 
 Both forms give the same bits (the batched fold adds -b where ``_row_sums``
-subtracts b, the same IEEE result), count the same operations per row, and
-raise one ValueError for a plan whose rows do not fit its matrices.
+subtracts b, the same IEEE result) and the schedule's operation counts.
+
+Admission rule: the executor runs a plan only if it passes the row checks
+that ``validate_plan`` reports first (``plan._row_faults``): m >= 1, at least
+one diagonal term, one ``a_pre`` row per term, two ``a_post`` rows, and in
+every ``a_pre``, ``a_post`` and diagonal row +-1 entries at strictly
+ascending indices inside its matrix.  Building the plan's schedule, at its
+first call, raises ValueError with the first fault, so no row the stages
+would misread (an entry of 2 read as 1, a stored 0 subtracted, a repeated
+index summed twice, index -1 wrapped) gives an output.  Block tiling, the
+halving forms and the correctness identity are left to ``validate_plan``: a
+plan with shared or empty rows runs as its rows say.  ``precompute_diagonal``
+does not check: at m = 1024 that costs about as much as the diagonal itself,
+on every call with new taps, and such a plan still raises at its first call.
 
 Float contract: float64 arrays, each row summed in ascending column order,
 with a - b where a dense scan forms a + (-b): per window, the IEEE operations
@@ -62,13 +74,12 @@ __all__ = ["fir_filter", "apply_basic_op"]
 _BATCH_WINDOWS = 256
 
 
-def _row_sums(rows, columns) -> tuple[list, int]:
-    # Signed sums of the columns over each row in ascending column order, and
-    # the additions they took.  The first addition makes a new array and later
-    # ones update it in place; a lone term is +col or -col and an empty row new
-    # zeros, so every array returned is one the products may scale in place.
+def _row_sums(rows, columns) -> list:
+    # Signed sums of the columns over each row in ascending column order.  The
+    # first addition makes a new array and later ones update it in place; a
+    # lone term is +col or -col and an empty row new zeros, so every array
+    # returned is one the products may scale in place.
     sums = []
-    adds = 0
     for row in rows:
         if not row:
             sums.append(np.zeros_like(columns[0]))
@@ -86,8 +97,7 @@ def _row_sums(rows, columns) -> tuple[list, int]:
             else:
                 acc -= columns[j]
         sums.append(acc)
-        adds += len(row) - 1
-    return sums, adds
+    return sums
 
 
 def _batched(schedule, kernel: PreparedKernel, padded: np.ndarray, windows: int) -> tuple[list, np.ndarray]:
@@ -145,7 +155,7 @@ def fir_filter(kernel: PreparedKernel, signal: Sequence,
         raise ValueError(f"signal has {n} samples, need at least {m}")
     n_out = n - m + 1
     windows = (n_out + 1) // 2
-    schedule = plan._schedule  # built once per plan; raises if the rows do not fit
+    schedule = plan._schedule  # built once per plan; raises if the rule rejects its rows
     # object, not int64: the scaled integers are unbounded.
     dtype = object if kernel.exact else np.float64
     padded = np.zeros(2 * windows + m - 1, dtype)
@@ -153,17 +163,16 @@ def fir_filter(kernel: PreparedKernel, signal: Sequence,
     with np.errstate(over="ignore", invalid="ignore"):
         if windows < _BATCH_WINDOWS and not kernel.exact:
             (y0, y1), mu = _batched(schedule, kernel, padded, windows)
-            pre_adds, post_adds = schedule.pre_adds, schedule.post_adds
         else:
             columns = [padded[j : j + 2 * windows : 2] for j in range(m + 1)]
-            mu, pre_adds = _row_sums(plan.pre_rows, columns)
+            mu = _row_sums(plan.pre_rows, columns)
             for k, sk in enumerate(kernel.scaled):
                 mu[k] *= sk  # t_k becomes mu_k = s_k * t_k
-            (y0, y1), post_adds = _row_sums(plan.post_rows, mu)
+            y0, y1 = _row_sums(plan.post_rows, mu)
     if counter is not None:
-        counter.pre_adds += pre_adds * windows
+        counter.pre_adds += schedule.pre_adds * windows
         counter.mults += len(mu) * windows
-        counter.post_adds += post_adds * windows
+        counter.post_adds += schedule.post_adds * windows
     out = np.empty(2 * windows, dtype)
     out[0::2] = y0
     out[1::2] = y1

@@ -10,6 +10,7 @@ counts must equal the per-window sum.
 import functools
 import json
 import math
+import re
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -30,6 +31,7 @@ from minfilt import (
     naive_fir,
     plan_to_json,
     precompute_diagonal,
+    validate_plan,
 )
 from minfilt.stream import _BATCH_WINDOWS
 from test_kernels import dense_scan_outputs, nan_or_bits
@@ -137,25 +139,48 @@ def test_hand_built_plan_with_shared_and_empty_rows():
 
 
 def test_plan_whose_rows_do_not_fit_raises_in_both_forms():
-    # Taps [1, 2, 3] over samples 1, 2, ... give 14, 20, 26, ...  A negative
-    # index would wrap to the last column, a missing diagonal term would leave
-    # a product unscaled and an index past its matrix would fail inside numpy;
-    # each is one ValueError naming the row, on 3 windows and on _BATCH_WINDOWS.
+    # Taps [1, 2, 3] over samples 1, 2, ... give 14, 20, 26, ...  Each case
+    # breaks one row rule: read as the stages read it, an entry of 2 counts as
+    # 1, a stored 0 is subtracted, a repeated index is summed twice, index -1
+    # wraps to the last column, a missing diagonal term leaves a product
+    # unscaled and an index past its matrix fails inside numpy; a plan with no
+    # products gave zeros in one form and IndexError in the other.  Each is one
+    # ValueError, on 3 windows and on _BATCH_WINDOWS or more, float and exact,
+    # whose fault is the one validate_plan reports: the executor and the
+    # validator share one row rule.
     plan = generate_plan(3)
     assert fir_filter(precompute_diagonal(plan, [1, 2, 3]), [1, 2, 3, 4, 5]) == [14.0, 20.0, 26.0]
+    pre, post, diag = plan.pre_rows, plan.post_rows, plan.diag
+
+    def first_pre(row):
+        return replace(plan, pre_rows=(row,) + pre[1:])
+
     cases = [
-        (replace(plan, pre_rows=(((-1, 1), (2, -1)),) + plan.pre_rows[1:]), "a_pre row 0 has an index"),
-        (replace(plan, diag=plan.diag[:-1]), "a_pre row 3 has no diagonal term"),
-        (replace(plan, post_rows=(plan.post_rows[0] + ((4, 1),), plan.post_rows[1])),
-         "a_post row 0 has an index"),
+        (first_pre(((-1, 1), (2, -1))), "a_pre row 0 has an index"),
+        (first_pre(((0, 2), (2, -1))), "a_pre row 0 has an entry outside"),
+        (first_pre(((0, 1), (1, 0), (2, -1))), "a_pre row 0 stores a zero"),
+        (first_pre(((0, 1), (0, 1), (2, -1))), "a_pre row 0 indices do not strictly ascend"),
+        (first_pre(((2, -1), (0, 1))), "a_pre row 0 indices do not strictly ascend"),
+        (replace(plan, diag=diag[:-1]), "a_pre shape (4, 4), expected (3, 4)"),
+        (replace(plan, post_rows=(post[0] + ((4, 1),), post[1])), "a_post row 0 has an index"),
+        (replace(plan, post_rows=(((0, 2),) + post[0][1:], post[1])), "a_post row 0 has an entry outside"),
+        (replace(plan, diag=(DiagonalTerm(((0, 2),), False),) + diag[1:]), "diag term 0 has an entry outside"),
+        (replace(plan, diag=(DiagonalTerm(((-1, 1),), False),) + diag[1:]), "diag term 0 has an index"),
+        (replace(generate_plan(1), pre_rows=(), post_rows=((), ()), diag=()),
+         "a plan needs at least one diagonal term"),
     ]
+    prefix = "plan rows do not fit its matrices: "
     for bad, message in cases:
-        kernel = precompute_diagonal(bad, [1, 2, 3])
-        for n in (5, 2 * _BATCH_WINDOWS + 2):
-            with pytest.raises(ValueError, match=message):
-                fir_filter(kernel, list(range(1, n + 1)))
-        with pytest.raises(ValueError, match=message):
-            apply_basic_op(kernel, [1, 2, 3, 4])
+        failures = validate_plan(bad).failures
+        calls = [(fir_filter, list(range(1, n + 1))) for n in (5, 2 * _BATCH_WINDOWS + 2)]
+        calls.append((apply_basic_op, list(range(1, bad.m + 2))))
+        for exact in (False, True):
+            kernel = precompute_diagonal(bad, [1, 2, 3][: bad.m], exact=exact)
+            for call, samples in calls:
+                with pytest.raises(ValueError, match=re.escape(message)) as info:
+                    call(kernel, samples)
+                text = str(info.value)
+                assert text.startswith(prefix) and text[len(prefix):] in failures
 
 
 # Values: mostly moderate, sometimes extreme or non-finite.
