@@ -12,7 +12,13 @@ arithmetics share one code path:
   order so results are bit-reproducible across runs.  Each value becomes one
   float64 as numpy converts it, so an int beyond float range raises
   OverflowError, as ``float()`` does.  A halved diagonal sum that overflows is
-  redone over its own row's halved taps, so the diagonal is linear in the plan;
+  redone over its own row's halved taps, so the diagonal is linear in the plan.
+  ``precompute_diagonal`` has two forms with the same bits, picked by the
+  plan's diagonal term count P: from ``_BATCH_TERMS`` = 64 terms it runs a few
+  numpy calls over all terms, per term position of the plan's cached gather
+  (at m = 1024 a quarter of the loop's time); below it, where those calls cost
+  more than the terms, a Python loop sums each term.  The kernel keeps the
+  diagonal as the float64 array the batched executor multiplies by;
 * exact mode: rational values, exact to the last digit.  ``_coerce`` reads
   each value once, through its own ``as_integer_ratio()`` (a
   ``numbers.Rational`` without one through its numerator and denominator; any
@@ -42,6 +48,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from numbers import Rational, Real
 
 import numpy as np
@@ -134,6 +141,72 @@ class PreparedKernel:
     def s(self) -> tuple:
         return tuple(Fraction(v, self.scale) for v in self.scaled) if self.exact else self.scaled
 
+    @cached_property
+    def _array(self) -> np.ndarray:
+        # Float mode: ``scaled`` as the read-only float64 array the batched
+        # executor multiplies by.  Outside the fields, so equality, hashing and
+        # repr never see it; the batched diagonal stores the array it made here.
+        return _read_only(np.array(self.scaled))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+# Float diagonals of plans with at least this many terms are computed as a few
+# numpy calls over all terms (``_batched_diagonal``); smaller plans, and exact
+# mode, sum each term in a Python loop, which costs less below it.
+_BATCH_TERMS = 64
+_PAD = np.zeros(1)  # the +0.0 tap that a pad index of the gather reads
+
+
+def _signed_sums(w: np.ndarray, positions, count: int) -> np.ndarray:
+    # Per term, from +0.0, w[i] added or subtracted in the order of the term's
+    # row: per term position one gather, a masked add and, where there are -
+    # entries, a masked subtract.  A pad index reads the +0.0 appended to w; a
+    # sum from +0.0 is never -0.0, so adding it changes no bit.
+    total = np.zeros(count)
+    for index, plus, minus in positions:
+        v = w[index]
+        np.add(total, v, total, where=plus)
+        if minus is not None:
+            np.subtract(total, v, total, where=minus)
+    return total
+
+
+def _batched_diagonal(plan: KernelPlan, w: np.ndarray) -> np.ndarray:
+    # The float diagonal in a few numpy calls over all terms, from the plan's
+    # cached gather, with the bits of the Python loop in precompute_diagonal.
+    gather = plan._diag_gather  # raises if the row rule rejects the plan
+    halved = gather.halved
+    padded = np.concatenate((w, _PAD))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = _signed_sums(padded, gather.positions, plan.p)
+        np.divide(total, 2, total, where=halved)
+        if np.isfinite(total).all():
+            return total
+        # A halved sum that overflowed is redone on its row's halved taps; the
+        # redo sums every row again, so it stays linear in the plan.
+        over = halved & np.isinf(total)
+        if over.any():
+            total[over] = _signed_sums(padded / 2, gather.positions, plan.p)[over]
+    # Of NaN + NaN, a running sum on the hardware keeps its own payload, as the
+    # loop does once CPython specializes its add; numpy's loops may keep either,
+    # by where the term falls in them.  So a NaN constant is summed again up to
+    # the NaN it first became, which no later term changes.
+    nan = np.flatnonzero(np.isnan(total)).tolist()
+    if nan:
+        taps = w.tolist()
+        for k in nan:
+            v = 0.0
+            for i, c in plan.diag[k].row:
+                v = v + taps[i] if c > 0 else v - taps[i]
+                if v != v:
+                    break
+            total[k] = v
+    return total
+
 
 def precompute_diagonal(plan: KernelPlan, taps: Sequence, exact: bool = False) -> PreparedKernel:
     """Evaluate the diagonal constants for the given taps.
@@ -145,30 +218,50 @@ def precompute_diagonal(plan: KernelPlan, taps: Sequence, exact: bool = False) -
     and the redo costs one row, not m taps.  In exact mode the taps are
     scaled to integers by the lcm D of their denominators, and each constant
     is its integer sum over 2D: the sum itself when halved, twice it if not.
-    Raises ValueError when the tap count does not match the plan or an
-    exact-mode tap is inf or NaN, and TypeError when the taps break the input
-    rule.
+
+    Two forms give the same bits.  A float plan of at least ``_BATCH_TERMS``
+    diagonal terms runs as a few numpy calls over all terms, per term
+    position of its diagonal rows, which the plan gathers once and caches:
+    one gather of the taps, then a masked add and a masked subtract.
+    Smaller plans, and exact mode, sum each term in a Python loop, which
+    costs less there.  A NaN constant is the first NaN its sum becomes: in
+    the batched form always, in the loop once CPython has specialized its
+    float add (before that, NaN + NaN may keep the other payload).
+
+    Raises ValueError when the tap count does not match the plan, a diagonal
+    index lies outside the taps (the executor's row-rule error; a wide float
+    plan is checked whole, as ``stream`` admits plans) or an exact-mode tap
+    is inf or NaN, and TypeError when the taps break the input rule.
     """
     if len(taps) != plan.m:
         raise ValueError(f"plan is for {plan.m} taps, got {len(taps)}")
     w, scale = _coerce(taps, exact)
+    if not exact and plan.p >= _BATCH_TERMS:
+        total = _batched_diagonal(plan, w)
+        kernel = PreparedKernel(plan, tuple(total.tolist()), 1, False)
+        kernel.__dict__["_array"] = _read_only(total)  # what the cached property would build
+        return kernel
     w = w if exact else w.tolist()
     zero = 0 if exact else 0.0
     s = []
-    for term in plan.diag:
-        vec, halve = w, term.halved and not exact
-        while True:
-            total = zero
-            for i, c in term.row:
-                total = total + vec[i] if c > 0 else total - vec[i]
-            if not (halve and math.isinf(total)):
-                break
-            # Redo the overflowed sum on the row's halved taps; it needs no halving.
-            vec, halve = {i: w[i] / 2 for i, _ in term.row}, False
-        if exact:
-            s.append(total if term.halved else 2 * total)
-        else:
-            s.append(total / 2 if halve else total)
+    try:
+        for term in plan.diag:
+            vec, halve = w, term.halved and not exact
+            while True:
+                total = zero
+                for i, c in term.row:
+                    total = total + vec[i] if c > 0 else total - vec[i]
+                if not (halve and math.isinf(total)):
+                    break
+                # Redo the overflowed sum on the row's halved taps; it needs no halving.
+                vec, halve = {i: w[i] / 2 for i, _ in term.row}, False
+            if exact:
+                s.append(total if term.halved else 2 * total)
+            else:
+                s.append(total / 2 if halve else total)
+    except IndexError:
+        plan._schedule  # a diag index past m: raises the row rule's ValueError
+        raise
     return PreparedKernel(plan, tuple(s), 2 * scale if exact else 1, exact)
 
 

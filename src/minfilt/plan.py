@@ -149,9 +149,10 @@ class KernelPlan:
     Plans are immutable, hashable values, safe to share across threads.  The
     rows are a plan's only stored data: each read of ``a_pre`` or ``a_post``
     builds a fresh read-only int8 matrix from them, which the plan does not
-    keep.  The executor's schedule, derived from rows that pass the admission
-    rule of ``stream`` on first use, is cached outside the fields, so
-    equality, hashing and ``dataclasses.replace`` never see it.
+    keep.  The executor's schedule and the batched diagonal's gather, each
+    derived on first use from rows that pass the admission rule of
+    ``stream``, are cached outside the fields, so equality, hashing and
+    ``dataclasses.replace`` never see them.
     """
 
     m: int
@@ -177,6 +178,11 @@ class KernelPlan:
     def _schedule(self) -> _Schedule:
         return _make_schedule(self)
 
+    @cached_property
+    def _diag_gather(self) -> _DiagGather:
+        self._schedule  # raises if the admission rule rejects the rows
+        return _make_diag_gather(self)
+
 
 class _Schedule(NamedTuple):
     # A plan's rows as the batched executor reads them.  ``pre`` holds one
@@ -189,6 +195,17 @@ class _Schedule(NamedTuple):
     post: tuple[tuple[np.ndarray, np.ndarray | None], ...]
     pre_adds: int   # additions per window, as the rows define them
     post_adds: int
+
+
+class _DiagGather(NamedTuple):
+    # The diagonal rows as the batched diagonal of ``kernels`` reads them, built
+    # only for the plans it runs.  ``positions`` holds per term position, as
+    # many as the longest row has, the tap index of each term (m past a row's
+    # end, where a +0.0 tap is appended), a mask of its + entries (True when all
+    # are) and one of its - entries (None when there are none); ``halved``
+    # marks the halved terms.
+    positions: tuple[tuple[np.ndarray, np.ndarray | bool, np.ndarray | None], ...]
+    halved: np.ndarray
 
 
 def _make_schedule(plan: KernelPlan) -> _Schedule:
@@ -224,6 +241,17 @@ def _make_schedule(plan: KernelPlan) -> _Schedule:
                  for row in plan.post_rows)
     adds = [sum(len(row) - 1 for row in rows if row) for rows in (plan.pre_rows, plan.post_rows)]
     return _Schedule(tuple(pre), post, *adds)
+
+
+def _make_diag_gather(plan: KernelPlan) -> _DiagGather:
+    # For admitted rows only: at least one term, each index inside [0, m).
+    width = max(len(term.row) for term in plan.diag)
+    pad = ((plan.m, 1),)
+    gather = np.array([term.row + pad * (width - len(term.row)) for term in plan.diag], np.intp)
+    gather = gather.reshape(plan.p, width, 2).transpose(1, 2, 0)
+    positions = tuple((index.copy(), True if (signs > 0).all() else signs > 0,
+                       (signs < 0) if (signs < 0).any() else None) for index, signs in gather)
+    return _DiagGather(positions, np.array([term.halved for term in plan.diag]))
 
 
 def _int8(row: _Row) -> _Row:

@@ -38,8 +38,11 @@ would misread (an entry of 2 read as 1, a stored 0 subtracted, a repeated
 index summed twice, index -1 wrapped) gives an output.  Block tiling, the
 halving forms and the correctness identity are left to ``validate_plan``: a
 plan with shared or empty rows runs as its rows say.  ``precompute_diagonal``
-does not check: at m = 1024 that costs about as much as the diagonal itself,
-on every call with new taps, and such a plan still raises at its first call.
+checks a plan whole only in its batched form, on a float plan of
+``kernels._BATCH_TERMS`` diagonal terms or more, whose gather of the diagonal
+rows is built after the schedule; its loop form checks nothing on the good
+path, and a diagonal index at or past m raises there the same ValueError.
+Any other fault raises at the plan's first call.
 
 Float contract: float64 arrays, each row summed in ascending column order,
 with a - b where a dense scan forms a + (-b): per window, the IEEE operations
@@ -118,7 +121,7 @@ def _batched(schedule, kernel: PreparedKernel, padded: np.ndarray, windows: int)
             np.negative(columns[cols], run)
         for cols, sign in rest:
             (np.add if sign > 0 else np.subtract)(run, columns[cols], run)
-    t *= np.array(kernel.scaled)[:, None]
+    t *= kernel._array[:, None]
     ys = []
     for products, negative in schedule.post:
         if not len(products):

@@ -5,6 +5,7 @@ import math
 import pickle
 import struct
 import time
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from numbers import Rational, Real
@@ -14,7 +15,9 @@ import numpy as np
 import pytest
 
 from minfilt import (
+    DiagonalTerm,
     OpCounter,
+    PreparedKernel,
     apply_basic_op,
     apply_basic_op_naive,
     fir_filter,
@@ -23,10 +26,15 @@ from minfilt import (
     naive_fir,
     plan_to_json,
     precompute_diagonal,
+    validate_plan,
 )
+from minfilt.kernels import _BATCH_TERMS
 from minfilt.stream import _BATCH_WINDOWS
 
 BOUND = 2**20
+# The smallest tap count whose plan has _BATCH_TERMS diagonal terms or more:
+# its float diagonal is the batched form, and the one below it the loop.
+BATCH_M = next(m for m in range(1, 4 * _BATCH_TERMS) if generate_plan(m).p >= _BATCH_TERMS)
 
 
 def test_diagonal_three_tap_example():
@@ -45,7 +53,13 @@ def test_diagonal_five_tap_all_ones():
 def test_diagonal_float_mode():
     kernel = precompute_diagonal(generate_plan(3), [2, 4, 6])
     assert kernel.s == (2.0, 6.0, 2.0, 6.0)
-    assert all(isinstance(v, float) for v in kernel.s)
+    # Both forms give kernel.s as a tuple of Python floats; only the batched
+    # form builds the plan's gather of its diagonal rows.
+    for m in (3, BATCH_M - 1, BATCH_M):
+        plan = generate_plan(m)
+        kernel = precompute_diagonal(plan, np.arange(m))
+        assert type(kernel.s) is tuple and all(type(v) is float for v in kernel.s)
+        assert ("_diag_gather" in vars(plan)) == (m == BATCH_M)
 
 
 def test_exact_diagonal_is_integers_over_one_scale():
@@ -239,9 +253,12 @@ def bits(v):
     return struct.pack("<d", v)
 
 
-def dense_scan(w, coeffs):
+def dense_scan(w, coeffs, keep_nan=False):
+    # With keep_nan, a sum that is NaN stays the first NaN it became.
     total = 0.0
     for wi, c in zip(w, coeffs):
+        if keep_nan and total != total:
+            break
         if c > 0:
             total = total + wi
         elif c < 0:
@@ -249,15 +266,15 @@ def dense_scan(w, coeffs):
     return total
 
 
-def dense_diagonal(dense, taps):
+def dense_diagonal(dense, taps, keep_nan=False):
     # The dense recipe: each constant from +0.0 over all m coefficients, and a
     # halved one whose sum is +-inf scanned again over all m halved taps.
     want = []
     for term in dense:
-        total = dense_scan(taps, term["coeffs"])
+        total = dense_scan(taps, term["coeffs"], keep_nan)
         if term["halved"]:
             halves = [wi / 2 for wi in taps]
-            total = dense_scan(halves, term["coeffs"]) if math.isinf(total) else total / 2
+            total = dense_scan(halves, term["coeffs"], keep_nan) if math.isinf(total) else total / 2
         want.append(total)
     return want
 
@@ -268,7 +285,8 @@ def test_diagonal_bits_match_dense_recipe_on_special_taps():
     # land exactly where the dense-coefficient scan puts them.  A halved term
     # whose sum is +-inf sums the halved taps instead.
     rng = np.random.default_rng(11)
-    for m in list(range(1, 17)) + [64]:
+    assert generate_plan(BATCH_M - 1).p < _BATCH_TERMS <= generate_plan(BATCH_M).p
+    for m in list(range(1, 17)) + [BATCH_M - 1, BATCH_M, 64]:
         plan = generate_plan(m)
         dense = json.loads(plan_to_json(plan))["diag"]
         for _ in range(10):
@@ -293,6 +311,66 @@ def test_halved_overflow_at_m1024_matches_dense_recipe():
         assert overflowed
         got = precompute_diagonal(plan, taps).s
         assert [bits(v) for v in got] == [bits(v) for v in dense_diagonal(dense, taps)]
+
+
+def test_batched_diagonal_on_a_hand_built_plan():
+    # Above _BATCH_TERMS, with an empty diag row, a halved row of five terms
+    # (the batch gathers as many positions as the longest row has) and a lone
+    # negative term: the bits of the dense recipe on special, normal and
+    # overflowing taps.  The kernel equals, hashes and prints as one built
+    # from its constants, and keeps them as a read-only array for the executor.
+    plan = generate_plan(BATCH_M)
+    odd = (DiagonalTerm((), False), DiagonalTerm(((0, 1), (2, -1), (5, 1), (7, -1), (9, 1)), True),
+           DiagonalTerm(((3, -1),), False), DiagonalTerm((), True))
+    plan = replace(plan, diag=odd + plan.diag[len(odd):])
+    assert plan.p >= _BATCH_TERMS and not validate_plan(plan).ok
+    dense = json.loads(plan_to_json(plan))["diag"]
+    # The five-term sum overflows at its second term; its halved sum is 5e307.
+    overflow = [1.0] * BATCH_M
+    overflow[0], overflow[2], overflow[5], overflow[7], overflow[9] = 1e308, -1e308, -1e308, -1e308, -1e308
+    assert precompute_diagonal(plan, overflow).s[1] == 5e307
+    rng = np.random.default_rng(20)
+    draws = [rng.choice(SPECIAL_TAPS, size=BATCH_M).tolist() for _ in range(20)]
+    draws += [overflow, rng.normal(size=BATCH_M).tolist(), [1e308] * BATCH_M, [-1e308] * BATCH_M,
+              rng.choice([1e308, -1e308, 1.0], size=BATCH_M).tolist()]
+    for taps in draws:
+        kernel = precompute_diagonal(plan, taps)
+        assert [bits(v) for v in kernel.s] == [bits(v) for v in dense_diagonal(dense, taps)]
+        assert kernel._array.tobytes() == np.array(kernel.s).tobytes()
+        assert not kernel._array.flags.writeable
+        built = PreparedKernel(plan, kernel.scaled, 1, False)
+        assert kernel == built and hash(kernel) == hash(built) and repr(kernel) == repr(built)
+
+
+def test_batched_nan_constant_is_the_first_nan_of_its_sum():
+    # Of NaN + NaN, numpy's loops keep either payload, by where the term falls
+    # in them, and CPython's add keeps the second until it specializes, the
+    # first after.  The batched form gives each NaN constant the first NaN its
+    # sum becomes, on taps that mix NaN payloads and signs.
+    nans = [struct.unpack("<d", struct.pack("<Q", q))[0]
+            for q in (0x7FF8_0000_0000_0000, 0x7FF8_0000_0000_1234, 0xFFF8_0000_0000_0042)]
+    rng = np.random.default_rng(2020)
+    for m in (BATCH_M, 1024):
+        plan = generate_plan(m)
+        dense = json.loads(plan_to_json(plan))["diag"]
+        for _ in range(6):
+            taps = rng.choice(nans + [math.inf, -math.inf, 1e308, 1.0], size=m).tolist()
+            got = precompute_diagonal(plan, taps).s
+            assert [bits(v) for v in got] == [bits(v) for v in dense_diagonal(dense, taps, keep_nan=True)]
+
+
+def test_diagonal_index_past_the_taps_raises_the_row_rule_error():
+    # A diag index at or past m is the executor's ValueError, naming the fault
+    # as validate_plan does, in both arithmetics and both diagonal forms.
+    for m in (3, BATCH_M):
+        plan = generate_plan(m)
+        bad = replace(plan, diag=(DiagonalTerm(((m, 1),), False),) + plan.diag[1:])
+        fault = f"dimension violation: diag term 0 has an index outside [0, {m})"
+        assert fault in validate_plan(bad).failures
+        for exact in (False, True):
+            with pytest.raises(ValueError) as info:
+                precompute_diagonal(bad, list(range(1, m + 1)), exact=exact)
+            assert str(info.value) == "plan rows do not fit its matrices: " + fault
 
 
 def test_halved_overflow_retry_is_linear_in_the_plan():
