@@ -14,11 +14,13 @@ arithmetics share one code path:
   OverflowError, as ``float()`` does.  A halved diagonal sum that overflows is
   redone over its own row's halved taps, so the diagonal is linear in the plan.
   ``precompute_diagonal`` has two forms with the same bits, picked by the
-  plan's diagonal term count P: from ``_BATCH_TERMS`` = 64 terms it runs a few
-  numpy calls over all terms, per term position of the plan's cached gather
-  (at m = 1024 a quarter of the loop's time); below it, where those calls cost
-  more than the terms, a Python loop sums each term.  The kernel keeps the
-  diagonal as the float64 array the batched executor multiplies by;
+  plan's diagonal term count P: from ``_BATCH_TERMS`` = 112 terms it runs a
+  few numpy calls over all terms, ``_run_sums`` over the runs of the diagonal
+  rows in the plan's cached schedule, the routine and schedule of the
+  executor's a_pre stage (at m = 1024 a quarter of the loop's time); below it,
+  where those calls cost more than the terms, a Python loop sums each term.
+  The kernel keeps the diagonal as the float64 array the batched executor
+  multiplies by;
 * exact mode: rational values, exact to the last digit.  ``_coerce`` reads
   each value once, through its own ``as_integer_ratio()`` (a
   ``numbers.Rational`` without one through its numerator and denominator; any
@@ -157,32 +159,50 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 # Float diagonals of plans with at least this many terms are computed as a few
 # numpy calls over all terms (``_batched_diagonal``); smaller plans, and exact
 # mode, sum each term in a Python loop, which costs less below it.
-_BATCH_TERMS = 64
-_PAD = np.zeros(1)  # the +0.0 tap that a pad index of the gather reads
+_BATCH_TERMS = 112
 
 
-def _signed_sums(w: np.ndarray, positions, count: int) -> np.ndarray:
-    # Per term, from +0.0, w[i] added or subtracted in the order of the term's
-    # row: per term position one gather, a masked add and, where there are -
-    # entries, a masked subtract.  A pad index reads the +0.0 appended to w; a
-    # sum from +0.0 is never -0.0, so adding it changes no bit.
-    total = np.zeros(count)
-    for index, plus, minus in positions:
-        v = w[index]
-        np.add(total, v, total, where=plus)
-        if minus is not None:
-            np.subtract(total, v, total, where=minus)
+def _run_sums(runs, columns: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # The signed sums of a schedule's runs (``plan._runs``) into the rows of
+    # `out` they slice, each from its first term in ascending column order, a -
+    # entry subtracted; rows in no run keep what `out` holds.  The slices index
+    # axis 0, so `columns` and `out` may hold one value per row (the diagonal)
+    # or one window per column (the executor's a_pre stage).
+    for rows, terms in runs:
+        run = out[rows]
+        (cols, sign), *rest = terms
+        if sign > 0:
+            run[...] = columns[cols]
+        else:
+            np.negative(columns[cols], run)
+        for cols, sign in rest:
+            (np.add if sign > 0 else np.subtract)(run, columns[cols], run)
+    return out
+
+
+def _first_nan(row, taps) -> float:
+    # The row's float sum from +0.0, stopped at the first NaN it becomes.  Of
+    # NaN + NaN, CPython's add keeps the second NaN until the interpreter
+    # specializes it and the first after, and numpy's loops keep either, by
+    # where the term falls in them; a sum that stops there adds no two NaNs.
+    total = 0.0
+    for i, c in row:
+        total = total + taps[i] if c > 0 else total - taps[i]
+        if total != total:
+            break
     return total
 
 
 def _batched_diagonal(plan: KernelPlan, w: np.ndarray) -> np.ndarray:
-    # The float diagonal in a few numpy calls over all terms, from the plan's
-    # cached gather, with the bits of the Python loop in precompute_diagonal.
-    gather = plan._diag_gather  # raises if the row rule rejects the plan
-    halved = gather.halved
-    padded = np.concatenate((w, _PAD))
+    # The float diagonal in a few numpy calls over all terms, from the runs of
+    # the plan's schedule, with the bits of the Python loop in precompute_diagonal.
+    schedule = plan._schedule  # raises if the row rule rejects the plan
+    halved = schedule.halved
     with np.errstate(over="ignore", invalid="ignore"):
-        total = _signed_sums(padded, gather.positions, plan.p)
+        total = _run_sums(schedule.diag, w, np.zeros(plan.p))
+        # A sum from its first term differs from the loop's, from +0.0, only
+        # where it is -0.0 (or NaN, summed again below).
+        total += 0.0
         np.divide(total, 2, total, where=halved)
         if np.isfinite(total).all():
             return total
@@ -190,21 +210,12 @@ def _batched_diagonal(plan: KernelPlan, w: np.ndarray) -> np.ndarray:
         # redo sums every row again, so it stays linear in the plan.
         over = halved & np.isinf(total)
         if over.any():
-            total[over] = _signed_sums(padded / 2, gather.positions, plan.p)[over]
-    # Of NaN + NaN, a running sum on the hardware keeps its own payload, as the
-    # loop does once CPython specializes its add; numpy's loops may keep either,
-    # by where the term falls in them.  So a NaN constant is summed again up to
-    # the NaN it first became, which no later term changes.
+            total[over] = _run_sums(schedule.diag, w / 2, np.zeros(plan.p))[over]
     nan = np.flatnonzero(np.isnan(total)).tolist()
     if nan:
         taps = w.tolist()
         for k in nan:
-            v = 0.0
-            for i, c in plan.diag[k].row:
-                v = v + taps[i] if c > 0 else v - taps[i]
-                if v != v:
-                    break
-            total[k] = v
+            total[k] = _first_nan(plan.diag[k].row, taps)
     return total
 
 
@@ -220,13 +231,13 @@ def precompute_diagonal(plan: KernelPlan, taps: Sequence, exact: bool = False) -
     is its integer sum over 2D: the sum itself when halved, twice it if not.
 
     Two forms give the same bits.  A float plan of at least ``_BATCH_TERMS``
-    diagonal terms runs as a few numpy calls over all terms, per term
-    position of its diagonal rows, which the plan gathers once and caches:
-    one gather of the taps, then a masked add and a masked subtract.
-    Smaller plans, and exact mode, sum each term in a Python loop, which
-    costs less there.  A NaN constant is the first NaN its sum becomes: in
-    the batched form always, in the loop once CPython has specialized its
-    float add (before that, NaN + NaN may keep the other payload).
+    diagonal terms runs as a few numpy calls over all terms: ``_run_sums``
+    over the runs of same-shaped diagonal rows in the plan's cached
+    schedule, one slice of the taps per run and term, as the executor's
+    a_pre stage reads the samples.  Smaller plans, and exact mode, sum each
+    term in a Python loop, which costs less there.  In both forms a NaN
+    constant is the first NaN its sum becomes, whatever the interpreter's
+    state: a NaN sum is summed again up to its first NaN.
 
     Raises ValueError when the tap count does not match the plan, a diagonal
     index lies outside the taps (the executor's row-rule error; a wide float
@@ -258,6 +269,8 @@ def precompute_diagonal(plan: KernelPlan, taps: Sequence, exact: bool = False) -
             if exact:
                 s.append(total if term.halved else 2 * total)
             else:
+                if total != total:
+                    total = _first_nan(term.row, vec)
                 s.append(total / 2 if halve else total)
     except IndexError:
         plan._schedule  # a diag index past m: raises the row rule's ValueError

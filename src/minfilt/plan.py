@@ -149,10 +149,10 @@ class KernelPlan:
     Plans are immutable, hashable values, safe to share across threads.  The
     rows are a plan's only stored data: each read of ``a_pre`` or ``a_post``
     builds a fresh read-only int8 matrix from them, which the plan does not
-    keep.  The executor's schedule and the batched diagonal's gather, each
-    derived on first use from rows that pass the admission rule of
-    ``stream``, are cached outside the fields, so equality, hashing and
-    ``dataclasses.replace`` never see them.
+    keep.  One schedule, the runs of same-shaped rows that the batched
+    executor and the batched diagonal read, is derived on first use from
+    rows that pass the admission rule of ``stream`` and cached outside the
+    fields, so equality, hashing and ``dataclasses.replace`` never see it.
     """
 
     m: int
@@ -178,53 +178,55 @@ class KernelPlan:
     def _schedule(self) -> _Schedule:
         return _make_schedule(self)
 
-    @cached_property
-    def _diag_gather(self) -> _DiagGather:
-        self._schedule  # raises if the admission rule rejects the rows
-        return _make_diag_gather(self)
+
+# Runs of same-shaped rows (``_runs``): per run a (rows slice, terms) pair, each
+# term a (columns slice, sign) pair.
+_Runs = tuple[tuple[slice, tuple[tuple[slice, int], ...]], ...]
 
 
 class _Schedule(NamedTuple):
-    # A plan's rows as the batched executor reads them.  ``pre`` holds one
-    # (rows, terms) pair per run of pre rows with one shape whose row index and
-    # first column both step evenly: ``rows`` slices the products and each term
-    # is a (columns slice, sign) pair.  ``post`` holds per output row the
+    # A plan's rows as the batched stages read them.  ``pre`` and ``diag`` hold
+    # the runs of the a_pre rows and of the diagonal rows (``_runs``);
+    # ``halved`` marks the halved terms.  ``post`` holds per output row the
     # product of each term in order and a (terms, 1) mask of the negative
     # ones, or None when there are none.
-    pre: tuple[tuple[slice, tuple[tuple[slice, int], ...]], ...]
+    pre: _Runs
+    diag: _Runs
+    halved: np.ndarray
     post: tuple[tuple[np.ndarray, np.ndarray | None], ...]
     pre_adds: int   # additions per window, as the rows define them
     post_adds: int
 
 
-class _DiagGather(NamedTuple):
-    # The diagonal rows as the batched diagonal of ``kernels`` reads them, built
-    # only for the plans it runs.  ``positions`` holds per term position, as
-    # many as the longest row has, the tap index of each term (m past a row's
-    # end, where a +0.0 tap is appended), a mask of its + entries (True when all
-    # are) and one of its - entries (None when there are none); ``halved``
-    # marks the halved terms.
-    positions: tuple[tuple[np.ndarray, np.ndarray | bool, np.ndarray | None], ...]
-    halved: np.ndarray
-
-
 def _make_schedule(plan: KernelPlan) -> _Schedule:
-    # Linear in the plan.  Pre rows are grouped by shape (each index relative
-    # to the row's first) and by the distance to the previous row of that
-    # shape, which keeps apart runs that interleave, as a template's two rows
-    # of one shape do; each group splits greedily into runs.
+    # Linear in the plan; raises the first fault of the admission rule.
     faults = _row_faults(plan)
     if faults:
         raise ValueError(f"plan rows do not fit its matrices: {faults[0]}")
+    post = tuple((np.array([k for k, _ in row], np.intp),
+                  np.array([[v < 0] for _, v in row]) if any(v < 0 for _, v in row) else None)
+                 for row in plan.post_rows)
+    adds = [sum(len(row) - 1 for row in rows if row) for rows in (plan.pre_rows, plan.post_rows)]
+    return _Schedule(_runs(plan.pre_rows), _runs([term.row for term in plan.diag]),
+                     np.array([term.halved for term in plan.diag]), post, *adds)
+
+
+def _runs(rows) -> _Runs:
+    # The nonempty rows as runs of one shape whose row index and first column
+    # both step evenly: a run's row slice picks its sums and each term's column
+    # slice the columns it adds (sign +1) or subtracts (-1) there.  Rows are grouped
+    # by shape (each index relative to the row's first) and by the distance to
+    # the previous row of that shape, which keeps apart runs that interleave,
+    # as a template's two rows of one shape do; each group splits greedily.
     groups: dict = {}
     last: dict = {}
-    for k, row in enumerate(plan.pre_rows):
+    for k, row in enumerate(rows):
         if row:
             c = row[0][0]
             shape = tuple([(j - c, v) for j, v in row])
             groups.setdefault((shape, k - last.get(shape, k)), []).append((k, c))
             last[shape] = k
-    pre = []
+    runs = []
     for (shape, _), points in groups.items():
         i = 0
         while i < len(points):
@@ -234,24 +236,9 @@ def _make_schedule(plan: KernelPlan) -> _Schedule:
                 while i + n < len(points) and points[i + n] == (k + n * dk, c + n * dc):
                     n += 1
             terms = tuple((slice(c + o, c + o + (n - 1) * dc + 1, dc), v) for o, v in shape)
-            pre.append((slice(k, k + (n - 1) * dk + 1, dk), terms))
+            runs.append((slice(k, k + (n - 1) * dk + 1, dk), terms))
             i += n
-    post = tuple((np.array([k for k, _ in row], np.intp),
-                  np.array([[v < 0] for _, v in row]) if any(v < 0 for _, v in row) else None)
-                 for row in plan.post_rows)
-    adds = [sum(len(row) - 1 for row in rows if row) for rows in (plan.pre_rows, plan.post_rows)]
-    return _Schedule(tuple(pre), post, *adds)
-
-
-def _make_diag_gather(plan: KernelPlan) -> _DiagGather:
-    # For admitted rows only: at least one term, each index inside [0, m).
-    width = max(len(term.row) for term in plan.diag)
-    pad = ((plan.m, 1),)
-    gather = np.array([term.row + pad * (width - len(term.row)) for term in plan.diag], np.intp)
-    gather = gather.reshape(plan.p, width, 2).transpose(1, 2, 0)
-    positions = tuple((index.copy(), True if (signs > 0).all() else signs > 0,
-                       (signs < 0) if (signs < 0).any() else None) for index, signs in gather)
-    return _DiagGather(positions, np.array([term.halved for term in plan.diag]))
+    return tuple(runs)
 
 
 def _int8(row: _Row) -> _Row:

@@ -16,7 +16,8 @@ There are two forms of the stages, picked by W and the arithmetic:
 * a float call of fewer than ``_BATCH_WINDOWS`` windows runs ``_batched``:
   each stage as a few numpy calls over all rows, read from the plan's cached
   schedule.  That is one call per term for each run of same-shaped pre rows
-  into one (P, W) array, one broadcast multiply, and per output row one
+  into one (P, W) array (``kernels._run_sums``, which sums the batched
+  diagonal too), one broadcast multiply, and per output row one
   gather of its signed terms and one fold.  On a short call the cost is
   numpy calls, not arithmetic: at m = 1024 this makes a few dozen of them,
   against ~5,000 row by row;
@@ -39,10 +40,10 @@ index summed twice, index -1 wrapped) gives an output.  Block tiling, the
 halving forms and the correctness identity are left to ``validate_plan``: a
 plan with shared or empty rows runs as its rows say.  ``precompute_diagonal``
 checks a plan whole only in its batched form, on a float plan of
-``kernels._BATCH_TERMS`` diagonal terms or more, whose gather of the diagonal
-rows is built after the schedule; its loop form checks nothing on the good
-path, and a diagonal index at or past m raises there the same ValueError.
-Any other fault raises at the plan's first call.
+``kernels._BATCH_TERMS`` diagonal terms or more, which reads the runs of its
+diagonal rows from the same schedule; its loop form builds no schedule and
+checks nothing on the good path, and a diagonal index at or past m raises
+there the same ValueError.  Any other fault raises at the plan's first call.
 
 Float contract: float64 arrays, each row summed in ascending column order,
 with a - b where a dense scan forms a + (-b): per window, the IEEE operations
@@ -67,7 +68,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import OpCounter, PreparedKernel, _coerce
+from .kernels import OpCounter, PreparedKernel, _coerce, _run_sums
 
 __all__ = ["fir_filter", "apply_basic_op"]
 
@@ -111,16 +112,7 @@ def _batched(schedule, kernel: PreparedKernel, padded: np.ndarray, windows: int)
     step = padded.strides[0]
     columns = np.ndarray((len(padded) - 2 * windows + 2, windows), padded.dtype, padded, 0,
                          (step, 2 * step))
-    t = np.zeros((kernel.plan.p, windows))
-    for rows, terms in schedule.pre:
-        run = t[rows]
-        (cols, sign), *rest = terms
-        if sign > 0:
-            run[...] = columns[cols]
-        else:
-            np.negative(columns[cols], run)
-        for cols, sign in rest:
-            (np.add if sign > 0 else np.subtract)(run, columns[cols], run)
+    t = _run_sums(schedule.pre, columns, np.zeros((kernel.plan.p, windows)))
     t *= kernel._array[:, None]
     ys = []
     for products, negative in schedule.post:

@@ -2,13 +2,17 @@
 
 import json
 import math
+import os
 import pickle
 import struct
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from numbers import Rational, Real
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -53,13 +57,14 @@ def test_diagonal_five_tap_all_ones():
 def test_diagonal_float_mode():
     kernel = precompute_diagonal(generate_plan(3), [2, 4, 6])
     assert kernel.s == (2.0, 6.0, 2.0, 6.0)
-    # Both forms give kernel.s as a tuple of Python floats; only the batched
-    # form builds the plan's gather of its diagonal rows.
+    # Both forms give kernel.s as a tuple of Python floats.  Only the batched
+    # form builds the plan's schedule: the loop form, on plans where building
+    # it costs more than the loop, leaves a fresh plan without one.
     for m in (3, BATCH_M - 1, BATCH_M):
         plan = generate_plan(m)
         kernel = precompute_diagonal(plan, np.arange(m))
         assert type(kernel.s) is tuple and all(type(v) is float for v in kernel.s)
-        assert ("_diag_gather" in vars(plan)) == (m == BATCH_M)
+        assert ("_schedule" in vars(plan)) == (m == BATCH_M)
 
 
 def test_exact_diagonal_is_integers_over_one_scale():
@@ -315,7 +320,7 @@ def test_halved_overflow_at_m1024_matches_dense_recipe():
 
 def test_batched_diagonal_on_a_hand_built_plan():
     # Above _BATCH_TERMS, with an empty diag row, a halved row of five terms
-    # (the batch gathers as many positions as the longest row has) and a lone
+    # (a run of its own, summed term by term like every run) and a lone
     # negative term: the bits of the dense recipe on special, normal and
     # overflowing taps.  The kernel equals, hashes and prints as one built
     # from its constants, and keeps them as a read-only array for the executor.
@@ -340,6 +345,47 @@ def test_batched_diagonal_on_a_hand_built_plan():
         assert not kernel._array.flags.writeable
         built = PreparedKernel(plan, kernel.scaled, 1, False)
         assert kernel == built and hash(kernel) == hash(built) and repr(kernel) == repr(built)
+
+
+def test_runs_that_must_split_keep_the_dense_scan_bits():
+    # The products in reverse order: pre rows and diag terms reversed, post
+    # rows reindexed to match.  The plan is still valid, but its first columns
+    # step backwards, so every run of the schedule is one row.  The batched
+    # diagonal and batched fir_filter still give the dense scan's bits.
+    rng = np.random.default_rng(21)
+    finite = [v for v in SPECIAL_TAPS if abs(v) < 1e300]
+    for m in (BATCH_M, 1024):
+        plan = generate_plan(m)
+        p = plan.p
+        plan = replace(plan, pre_rows=plan.pre_rows[::-1], diag=plan.diag[::-1],
+                       post_rows=tuple(tuple((p - 1 - k, v) for k, v in reversed(row))
+                                       for row in plan.post_rows))
+        assert validate_plan(plan).ok
+        assert len(plan._schedule.pre) == len(plan._schedule.diag) == p
+        doc = json.loads(plan_to_json(plan))
+        for values in (SPECIAL_TAPS, finite):
+            taps = rng.choice(values, size=m).tolist()
+            kernel = precompute_diagonal(plan, taps)
+            want = dense_diagonal(doc["diag"], taps, keep_nan=True)
+            assert [bits(v) for v in kernel.s] == [bits(v) for v in want]
+            signal = rng.choice(values, size=2 * 40 + m - 1)
+            got = fir_filter(kernel, signal)
+            want = dense_scan_outputs(doc, kernel.s, signal)
+            assert [nan_or_bits(v) for v in got] == [nan_or_bits(v) for v in want]
+
+
+def test_loop_nan_constant_is_the_first_nan_of_its_sum():
+    # In a fresh interpreter, whose float add has not specialized, CPython 3.11
+    # keeps the second NaN of NaN + NaN.  The loop form still gives the halved
+    # constant (w0 + w1 + w2) / 2 the first NaN its sum becomes, as the
+    # batched form does.
+    code = ("import struct; from minfilt import generate_plan, precompute_diagonal\n"
+            "nan = lambda q: struct.unpack('<d', struct.pack('<Q', q))[0]\n"
+            "taps = [nan(0x7FF8_0000_0000_1234), nan(0xFFF8_0000_0000_0042), 1.0]\n"
+            "print(struct.pack('<d', precompute_diagonal(generate_plan(3), taps).s[1]).hex())")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert struct.unpack("<Q", bytes.fromhex(out.stdout.strip()))[0] == 0x7FF8_0000_0000_1234
 
 
 def test_batched_nan_constant_is_the_first_nan_of_its_sum():
