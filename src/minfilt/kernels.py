@@ -35,7 +35,7 @@ arithmetics share one code path:
 The executor, ``stream``, states its float and exact contracts.
 
 ``OpCounter`` counts the path that computes the result, split by stage, once
-per call: the products are the length of ``mu``, and the additions of each
+per call: the products are the plan's P per window, and the additions of each
 ``a_pre`` and ``a_post`` row are len(row) - 1, tallied once by the plan's
 schedule, as both executor forms make them.  One vector operation over W
 windows counts as W scalar operations.  Sign flips on ternary-matrix entries

@@ -150,9 +150,10 @@ class KernelPlan:
     rows are a plan's only stored data: each read of ``a_pre`` or ``a_post``
     builds a fresh read-only int8 matrix from them, which the plan does not
     keep.  One schedule, the runs of same-shaped rows that the batched
-    executor and the batched diagonal read, is derived on first use from
-    rows that pass the admission rule of ``stream`` and cached outside the
-    fields, so equality, hashing and ``dataclasses.replace`` never see it.
+    executor and the batched diagonal read and the per-product output terms
+    that the product loop folds, is derived on first use from rows that pass
+    the admission rule of ``stream`` and cached outside the fields, so
+    equality, hashing and ``dataclasses.replace`` never see it.
     """
 
     m: int
@@ -189,11 +190,14 @@ class _Schedule(NamedTuple):
     # the runs of the a_pre rows and of the diagonal rows (``_runs``);
     # ``halved`` marks the halved terms.  ``post`` holds per output row the
     # product of each term in order and a (terms, 1) mask of the negative
-    # ones, or None when there are none.
+    # ones, or None when there are none.  ``fold`` is the same a_post rows
+    # read per product, for the product-by-product form: the (output row,
+    # sign) of each term on that product, in ascending row order.
     pre: _Runs
     diag: _Runs
     halved: np.ndarray
     post: tuple[tuple[np.ndarray, np.ndarray | None], ...]
+    fold: tuple[tuple[tuple[int, int], ...], ...]
     pre_adds: int   # additions per window, as the rows define them
     post_adds: int
 
@@ -206,9 +210,14 @@ def _make_schedule(plan: KernelPlan) -> _Schedule:
     post = tuple((np.array([k for k, _ in row], np.intp),
                   np.array([[v < 0] for _, v in row]) if any(v < 0 for _, v in row) else None)
                  for row in plan.post_rows)
+    fold = [()] * plan.p
+    for r, row in enumerate(plan.post_rows):
+        for k, v in row:
+            fold[k] += ((r, v),)
     adds = [sum(len(row) - 1 for row in rows if row) for rows in (plan.pre_rows, plan.post_rows)]
     return _Schedule(_runs(plan.pre_rows), _runs([term.row for term in plan.diag]),
-                     np.array([term.halved for term in plan.diag]), post, *adds)
+                     np.array([term.halved for term in plan.diag]), post,
+                     tuple(fold), *adds)
 
 
 def _runs(rows) -> _Runs:

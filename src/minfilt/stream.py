@@ -5,13 +5,15 @@ outputs is odd, the signal is completed with a single zero sample and the
 last window's second output is discarded, so one uniform kernel serves every
 window.  ``apply_basic_op`` is the one-window case: a signal of m+1 samples.
 
-``fir_filter`` runs each stage once over the whole signal.  Sample j of every
+``fir_filter`` computes on every window at once.  Sample j of every
 window is the stride-2 column x[j::2]: each ``a_pre`` row is a signed sum of
 columns, each diagonal product one vector multiply and each ``a_post`` row a
 signed sum of those, so P vector multiplies of length W = ceil((N-m+1)/2)
 replace one Python basic operation per window.  The signal enters through
 ``kernels._coerce``, the one input rule, as the arithmetic computes on it.
-There are two forms of the stages, picked by W and the arithmetic:
+A contiguous float64 signal with an even number of outputs needs no padding
+zero, so the stages read it in place; no stage writes to its columns.
+There are two forms, picked by W and the arithmetic:
 
 * a float call of fewer than ``_BATCH_WINDOWS`` windows runs ``_batched``:
   each stage as a few numpy calls over all rows, read from the plan's cached
@@ -20,14 +22,22 @@ There are two forms of the stages, picked by W and the arithmetic:
   diagonal too), one broadcast multiply, and per output row one
   gather of its signed terms and one fold.  On a short call the cost is
   numpy calls, not arithmetic: at m = 1024 this makes a few dozen of them,
-  against ~5,000 row by row;
-* longer float calls, and every exact call, run ``_row_sums``: one vector
-  operation per row term.  At that length it allocates less than the (P, W)
-  arrays; in exact mode each operation is a Python int operation per
-  window anyway, and the batched form measured slower there.
+  against ~5,000 row by row.  All P products are live at once, which at
+  that length costs less than the calls saved;
+* longer float calls, and every exact call, run product by product, as the
+  paper's pipeline does: for k in ascending order, product k's pre-sum
+  (``_row_sums``, one vector operation per row term), its scaling in place by
+  s_k, and its fold into each output row that uses it (the schedule's
+  ``fold``).  The sum is then dropped, unless an output row starts with it,
+  so one W-long temporary is live at a time, not P, and malloc hands the
+  array just freed, still in cache, to the next product; the time saved is
+  allocation and cache, not multiplications.  Output rows take their terms
+  in ascending product order, so each is still a left fold in row order.  In
+  exact mode each operation is a Python int operation per window anyway, and
+  the batched form measured slower there.
 
-Both forms give the same bits (the batched fold adds -b where ``_row_sums``
-subtracts b, the same IEEE result) and the schedule's operation counts.
+Both forms give the same bits (the batched fold adds -b where the product
+loop subtracts b, the same IEEE result) and the schedule's operation counts.
 
 Admission rule: the executor runs a plan only if it passes the row checks
 that ``validate_plan`` reports first (``plan._row_faults``): m >= 1, at least
@@ -73,24 +83,25 @@ from .kernels import OpCounter, PreparedKernel, _coerce, _run_sums
 __all__ = ["fir_filter", "apply_basic_op"]
 
 # Float calls with fewer windows than this run each stage as a few numpy calls
-# over all rows (``_batched``); longer calls run one numpy call per row term
-# (``_row_sums``), which allocates less at that length.
+# over all rows (``_batched``); longer calls run product by product, one numpy
+# call per row term, which at that length keeps one window-long array live.
 _BATCH_WINDOWS = 256
 
 
-def _row_sums(rows, columns) -> list:
-    # Signed sums of the columns over each row in ascending column order.  The
-    # first addition makes a new array and later ones update it in place; a
-    # lone term is +col or -col and an empty row new zeros, so every array
-    # returned is one the products may scale in place.
-    sums = []
+def _row_sums(rows, columns):
+    # Yields the signed sum of the columns over each row in ascending column
+    # order, one row at a time.  The first addition makes a new array and
+    # later ones update it in place; a lone term is +col or -col and an empty
+    # row new zeros, so every array yielded is one the caller may scale in
+    # place.  The generator lets go of each sum when asked for the next, so a
+    # caller that drops it first lets its memory serve the next sum.
     for row in rows:
         if not row:
-            sums.append(np.zeros_like(columns[0]))
+            yield np.zeros_like(columns[0])
             continue
         j, sign = row[0]
         if len(row) == 1:
-            sums.append(+columns[j] if sign > 0 else -columns[j])
+            yield +columns[j] if sign > 0 else -columns[j]
             continue
         acc = columns[j] if sign > 0 else -columns[j]
         j, sign = row[1]
@@ -100,15 +111,15 @@ def _row_sums(rows, columns) -> list:
                 acc += columns[j]
             else:
                 acc -= columns[j]
-        sums.append(acc)
-    return sums
+        yield acc
+        del acc
 
 
 def _batched(schedule, kernel: PreparedKernel, padded: np.ndarray, windows: int) -> tuple[list, np.ndarray]:
     # The three float stages over all rows at once, from the plan's schedule:
-    # per row and window the bits of _row_sums.  Column j of `columns` is
-    # padded[j::2], sample j of every window.  Returns the two output rows and
-    # the (P, W) products.
+    # per row and window the bits of the product loop.  Column j of `columns`
+    # is padded[j::2], sample j of every window.  Returns the two output rows
+    # and the (P, W) products.
     step = padded.strides[0]
     columns = np.ndarray((len(padded) - 2 * windows + 2, windows), padded.dtype, padded, 0,
                          (step, 2 * step))
@@ -153,26 +164,42 @@ def fir_filter(kernel: PreparedKernel, signal: Sequence,
     schedule = plan._schedule  # built once per plan; raises if the rule rejects its rows
     # object, not int64: the scaled integers are unbounded.
     dtype = object if kernel.exact else np.float64
-    padded = np.zeros(2 * windows + m - 1, dtype)
-    padded[:n] = samples
+    if n == 2 * windows + m - 1 and not kernel.exact and samples.flags.c_contiguous:
+        padded = samples  # no zero to append: read in place, as no stage writes to it
+    else:
+        padded = np.zeros(2 * windows + m - 1, dtype)
+        padded[:n] = samples
     with np.errstate(over="ignore", invalid="ignore"):
         if windows < _BATCH_WINDOWS and not kernel.exact:
-            (y0, y1), mu = _batched(schedule, kernel, padded, windows)
+            # `_` keeps the (P, W) products until the list is built: freed
+            # earlier, they can let malloc trim a heap top the next call faults in.
+            ys, _ = _batched(schedule, kernel, padded, windows)
         else:
             columns = [padded[j : j + 2 * windows : 2] for j in range(m + 1)]
-            mu = _row_sums(plan.pre_rows, columns)
-            for k, sk in enumerate(kernel.scaled):
-                mu[k] *= sk  # t_k becomes mu_k = s_k * t_k
-            y0, y1 = _row_sums(plan.post_rows, mu)
+            ys = [None, None]
+            for t, sk, uses in zip(_row_sums(plan.pre_rows, columns), kernel.scaled, schedule.fold):
+                t *= sk  # t_k becomes mu_k = s_k * t_k
+                for r, sign in uses:
+                    y = ys[r]
+                    if y is not None:
+                        if sign > 0:
+                            y += t
+                        else:
+                            y -= t
+                    elif sign < 0:
+                        ys[r] = -t
+                    else:  # the row starts with t itself, or a copy if row 0 took it
+                        ys[r] = +t if t is ys[0] else t
+                del t  # unless a row took it, freed for the next sum to reuse
+            for r in 0, 1:  # a row with no terms
+                if ys[r] is None:
+                    ys[r] = np.zeros(windows, dtype)
     if counter is not None:
         counter.pre_adds += schedule.pre_adds * windows
-        counter.mults += len(mu) * windows
+        counter.mults += plan.p * windows
         counter.post_adds += schedule.post_adds * windows
     out = np.empty(2 * windows, dtype)
-    out[0::2] = y0
-    out[1::2] = y1
-    # mu stays referenced until the list is built: freed earlier, it lets
-    # malloc trim the heap top that the next call then faults back in.
+    out[0::2], out[1::2] = ys
     if kernel.exact:
         return [Fraction(v, kernel.scale * dx) for v in out[:n_out].tolist()]
     return out[:n_out].tolist()

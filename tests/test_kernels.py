@@ -766,13 +766,16 @@ def test_exact_mode_rejects_non_finite_at_every_entry_point():
 
 
 def test_no_entry_point_writes_into_its_inputs():
-    # A float64 ndarray reaches the executor without a copy; whatever the
-    # stages scale or update in place must be their own arrays.
+    # A float64 ndarray reaches the executor without a copy, and with an even
+    # output count the stages read it in place; whatever they scale or update
+    # in place must be their own arrays.  The fourth signal is
+    # _BATCH_WINDOWS windows, the product loop.
     plan = generate_plan(5)
     values = (
         np.array([1.5, -2.0, 0.25, -0.0, 3.0, 7.0, -1.0, 2.0]),
         np.array([2**62, -3, 5, 0, -2**62, 9, 1, -1], dtype=np.int64),
         [1, -2.5, Fraction(1, 3), 0.0, -0.0, 4, 2**70, -1],
+        np.random.default_rng(9).standard_normal(2 * _BATCH_WINDOWS + 4),
     )
     for exact in (False, True):
         for signal in values:
