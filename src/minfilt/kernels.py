@@ -11,16 +11,17 @@ arithmetics share one code path:
 * float mode (default): IEEE double arithmetic, summation in matrix-row index
   order so results are bit-reproducible across runs.  Each value becomes one
   float64 as numpy converts it, so an int beyond float range raises
-  OverflowError, as ``float()`` does.  A halved diagonal sum that overflows is
-  redone over its own row's halved taps, so the diagonal is linear in the plan.
-  ``precompute_diagonal`` has two forms with the same bits, picked by the
-  plan's diagonal term count P: from ``_BATCH_TERMS`` = 112 terms it runs a
-  few numpy calls over all terms, ``_run_sums`` over the runs of the diagonal
+  OverflowError, as ``float()`` does.  ``precompute_diagonal`` makes plain
+  sums from +0.0, halved where the term says, in one of two forms with the
+  same bits, picked by the plan's diagonal term count P: from
+  ``_BATCH_TERMS`` = 112 terms ``_run_sums`` over the runs of the diagonal
   rows in the plan's cached schedule, the routine and schedule of the
-  executor's a_pre stage (at m = 1024 a quarter of the loop's time); below it,
-  where those calls cost more than the terms, a Python loop sums each term.
-  The kernel keeps the diagonal as the float64 array the batched executor
-  multiplies by;
+  executor's a_pre stage; below it, where those numpy calls cost more than
+  the terms, a Python loop.  One tail then applies the non-finite rule to
+  both: a halved sum that overflows is redone over its own row's halved
+  taps, so the diagonal is linear in the plan, and a NaN constant is the
+  first NaN its sum becomes.  The kernel keeps the diagonal as the float64
+  array the batched executor multiplies by;
 * exact mode: rational values, exact to the last digit.  ``_coerce`` reads
   each value once, through its own ``as_integer_ratio()`` (a
   ``numbers.Rational`` without one through its numerator and denominator; any
@@ -147,7 +148,7 @@ class PreparedKernel:
     def _array(self) -> np.ndarray:
         # Float mode: ``scaled`` as the read-only float64 array the batched
         # executor multiplies by.  Outside the fields, so equality, hashing and
-        # repr never see it; the batched diagonal stores the array it made here.
+        # repr never see it; precompute_diagonal stores the array it made here.
         return _read_only(np.array(self.scaled))
 
 
@@ -156,9 +157,9 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-# Float diagonals of plans with at least this many terms are computed as a few
-# numpy calls over all terms (``_batched_diagonal``); smaller plans, and exact
-# mode, sum each term in a Python loop, which costs less below it.
+# Float diagonals of plans with at least this many terms are summed as a few
+# numpy calls over all terms (``_run_sums``); smaller plans, and exact mode,
+# sum each term in a Python loop, which costs less below it.
 _BATCH_TERMS = 112
 
 
@@ -193,23 +194,17 @@ def _first_nan(row, taps) -> float:
     return total
 
 
-def _batched_diagonal(plan: KernelPlan, w: np.ndarray) -> np.ndarray:
-    # The float diagonal in a few numpy calls over all terms, from the runs of
-    # the plan's schedule, with the bits of the Python loop in precompute_diagonal.
+def _finish_float(plan: KernelPlan, w: np.ndarray, total: np.ndarray) -> np.ndarray:
+    # The float non-finite rule, on plain sums from +0.0 halved where their
+    # term says.  A halved sum that overflowed is redone on its row's halved
+    # taps; the redo sums every row again, so it stays linear in the plan.  A
+    # NaN constant is summed again up to the first NaN it becomes.
+    if np.isfinite(total).all():
+        return total
     schedule = plan._schedule  # raises if the row rule rejects the plan
-    halved = schedule.halved
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = _run_sums(schedule.diag, w, np.zeros(plan.p))
-        # A sum from its first term differs from the loop's, from +0.0, only
-        # where it is -0.0 (or NaN, summed again below).
-        total += 0.0
-        np.divide(total, 2, total, where=halved)
-        if np.isfinite(total).all():
-            return total
-        # A halved sum that overflowed is redone on its row's halved taps; the
-        # redo sums every row again, so it stays linear in the plan.
-        over = halved & np.isinf(total)
-        if over.any():
+    over = schedule.halved & np.isinf(total)
+    if over.any():
+        with np.errstate(over="ignore", invalid="ignore"):
             total[over] = _run_sums(schedule.diag, w / 2, np.zeros(plan.p))[over]
     nan = np.flatnonzero(np.isnan(total)).tolist()
     if nan:
@@ -226,56 +221,62 @@ def precompute_diagonal(plan: KernelPlan, taps: Sequence, exact: bool = False) -
     index order.  In float mode a halved term divides that sum by two, which
     rounds only when the half is subnormal; a sum that overflows to +-inf is
     redone on the row's own halved taps, so a finite halved sum is not lost
-    and the redo costs one row, not m taps.  In exact mode the taps are
-    scaled to integers by the lcm D of their denominators, and each constant
-    is its integer sum over 2D: the sum itself when halved, twice it if not.
+    and the redo costs one row, not m taps.  A NaN constant is the first NaN
+    its sum becomes, whatever the interpreter's state.  In exact mode the
+    taps are scaled to integers by the lcm D of their denominators, and each
+    constant is its integer sum over 2D: the sum itself when halved, twice
+    it if not.
 
-    Two forms give the same bits.  A float plan of at least ``_BATCH_TERMS``
-    diagonal terms runs as a few numpy calls over all terms: ``_run_sums``
-    over the runs of same-shaped diagonal rows in the plan's cached
-    schedule, one slice of the taps per run and term, as the executor's
-    a_pre stage reads the samples.  Smaller plans, and exact mode, sum each
-    term in a Python loop, which costs less there.  In both forms a NaN
-    constant is the first NaN its sum becomes, whatever the interpreter's
-    state: a NaN sum is summed again up to its first NaN.
+    The plain sums come in one of two forms with the same bits.  A float
+    plan of at least ``_BATCH_TERMS`` diagonal terms runs ``_run_sums`` over
+    the runs of same-shaped diagonal rows in the plan's cached schedule, as
+    the executor's a_pre stage reads the samples; smaller plans, and exact
+    mode, sum each term in a Python loop, which costs less there.  Every
+    float diagonal then passes one tail, which leaves finite constants as
+    they are and applies the overflow and NaN rules to the rest, reading
+    the plan's schedule.  The kernel keeps the float diagonal as the
+    float64 array the batched executor multiplies by.
 
-    Raises ValueError when the tap count does not match the plan, a diagonal
-    index lies outside the taps (the executor's row-rule error; a wide float
-    plan is checked whole, as ``stream`` admits plans) or an exact-mode tap
-    is inf or NaN, and TypeError when the taps break the input rule.
+    Raises ValueError when the tap count does not match the plan, the plan
+    breaks the executor's row rule where it is checked (a diagonal index at
+    or past m; a wide float plan, or a float plan with a non-finite
+    constant, is checked whole, as ``stream`` admits plans) or an
+    exact-mode tap is inf or NaN, and TypeError when the taps break the
+    input rule.
     """
     if len(taps) != plan.m:
         raise ValueError(f"plan is for {plan.m} taps, got {len(taps)}")
     w, scale = _coerce(taps, exact)
-    if not exact and plan.p >= _BATCH_TERMS:
-        total = _batched_diagonal(plan, w)
-        kernel = PreparedKernel(plan, tuple(total.tolist()), 1, False)
-        kernel.__dict__["_array"] = _read_only(total)  # what the cached property would build
-        return kernel
-    w = w if exact else w.tolist()
-    zero = 0 if exact else 0.0
-    s = []
-    try:
-        for term in plan.diag:
-            vec, halve = w, term.halved and not exact
-            while True:
-                total = zero
+    if exact or plan.p < _BATCH_TERMS:
+        values = w if exact else w.tolist()
+        s = []
+        try:
+            for term in plan.diag:
+                total = 0 if exact else 0.0
                 for i, c in term.row:
-                    total = total + vec[i] if c > 0 else total - vec[i]
-                if not (halve and math.isinf(total)):
-                    break
-                # Redo the overflowed sum on the row's halved taps; it needs no halving.
-                vec, halve = {i: w[i] / 2 for i, _ in term.row}, False
-            if exact:
-                s.append(total if term.halved else 2 * total)
-            else:
-                if total != total:
-                    total = _first_nan(term.row, vec)
-                s.append(total / 2 if halve else total)
-    except IndexError:
-        plan._schedule  # a diag index past m: raises the row rule's ValueError
-        raise
-    return PreparedKernel(plan, tuple(s), 2 * scale if exact else 1, exact)
+                    total = total + values[i] if c > 0 else total - values[i]
+                if exact:
+                    s.append(total if term.halved else 2 * total)
+                else:
+                    s.append(total / 2 if term.halved else total)
+        except IndexError:
+            plan._schedule  # a diag index past m: raises the row rule's ValueError
+            raise
+        if exact:
+            return PreparedKernel(plan, tuple(s), 2 * scale, True)
+        total = np.array(s)
+    else:
+        schedule = plan._schedule  # raises if the row rule rejects the plan
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = _run_sums(schedule.diag, w, np.zeros(plan.p))
+            # A sum from its first term differs from one from +0.0 only
+            # where it is -0.0 (or NaN, which the tail sums again).
+            total += 0.0
+            np.divide(total, 2, total, where=schedule.halved)
+    total = _finish_float(plan, w, total)
+    kernel = PreparedKernel(plan, tuple(total.tolist()), 1, False)
+    kernel.__dict__["_array"] = _read_only(total)  # what the cached property would build
+    return kernel
 
 
 def is_dyadic(value) -> bool:

@@ -49,11 +49,11 @@ would misread (an entry of 2 read as 1, a stored 0 subtracted, a repeated
 index summed twice, index -1 wrapped) gives an output.  Block tiling, the
 halving forms and the correctness identity are left to ``validate_plan``: a
 plan with shared or empty rows runs as its rows say.  ``precompute_diagonal``
-checks a plan whole only in its batched form, on a float plan of
-``kernels._BATCH_TERMS`` diagonal terms or more, which reads the runs of its
-diagonal rows from the same schedule; its loop form builds no schedule and
-checks nothing on the good path, and a diagonal index at or past m raises
-there the same ValueError.  Any other fault raises at the plan's first call.
+reads the same schedule, and so raises the same ValueError, on a float plan
+of ``kernels._BATCH_TERMS`` diagonal terms or more and on a float plan with
+a non-finite constant.  Otherwise it raises it only for a diagonal index at
+or past m; any other fault, such as index -1, raises at the plan's first
+call.
 
 Float contract: float64 arrays, each row summed in ascending column order,
 with a - b where a dense scan forms a + (-b): per window, the IEEE operations

@@ -32,6 +32,7 @@ from minfilt import (
     precompute_diagonal,
     validate_plan,
 )
+from minfilt import kernels
 from minfilt.kernels import _BATCH_TERMS
 from minfilt.stream import _BATCH_WINDOWS
 
@@ -59,7 +60,8 @@ def test_diagonal_float_mode():
     assert kernel.s == (2.0, 6.0, 2.0, 6.0)
     # Both forms give kernel.s as a tuple of Python floats.  Only the batched
     # form builds the plan's schedule: the loop form, on plans where building
-    # it costs more than the loop, leaves a fresh plan without one.
+    # it costs more than the loop, leaves a fresh plan without one while its
+    # constants are finite.
     for m in (3, BATCH_M - 1, BATCH_M):
         plan = generate_plan(m)
         kernel = precompute_diagonal(plan, np.arange(m))
@@ -347,6 +349,31 @@ def test_batched_diagonal_on_a_hand_built_plan():
         assert kernel == built and hash(kernel) == hash(built) and repr(kernel) == repr(built)
 
 
+def test_both_diagonal_forms_give_the_same_bits(monkeypatch):
+    # The same plan through the loop and the runs form of the plain sums, each
+    # finished by the one float tail: the bits of the dense recipe on special,
+    # overflowing and NaN-payload taps, and the kernel keeps its read-only
+    # array in both forms.
+    nans = [struct.unpack("<d", struct.pack("<Q", q))[0]
+            for q in (0x7FF8_0000_0000_0000, 0x7FF8_0000_0000_1234, 0xFFF8_0000_0000_0042)]
+    rng = np.random.default_rng(23)
+    for m in list(range(1, 17)) + [64, BATCH_M, 1024]:
+        plan = generate_plan(m)
+        dense = json.loads(plan_to_json(plan))["diag"]
+        draws = [rng.choice(SPECIAL_TAPS, size=m).tolist(), [1e308] * m,
+                 rng.choice([1e308, -1e308, 1.0], size=m).tolist(),
+                 rng.choice(nans + [math.inf, -math.inf, 1e308, 1.0], size=m).tolist()]
+        for taps in draws:
+            want = [bits(v) for v in dense_diagonal(dense, taps, keep_nan=True)]
+            for terms in (1, 10**9):
+                monkeypatch.setattr(kernels, "_BATCH_TERMS", terms)
+                kernel = precompute_diagonal(plan, taps)
+                assert [bits(v) for v in kernel.s] == want
+                assert "_array" in vars(kernel)
+                assert kernel._array.tobytes() == np.array(kernel.s).tobytes()
+                assert not kernel._array.flags.writeable
+
+
 def test_runs_that_must_split_keep_the_dense_scan_bits():
     # The products in reverse order: pre rows and diag terms reversed, post
     # rows reindexed to match.  The plan is still valid, but its first columns
@@ -419,20 +446,37 @@ def test_diagonal_index_past_the_taps_raises_the_row_rule_error():
             assert str(info.value) == "plan rows do not fit its matrices: " + fault
 
 
+def test_non_finite_constant_admits_a_small_plan_by_the_row_rule():
+    # A small float plan sums its constants without the schedule, so index -1
+    # wraps to the last tap unseen while every constant is finite.  A
+    # non-finite constant sends the diagonal through the float tail, which
+    # reads the schedule and so raises the row rule's ValueError, as a wide
+    # plan does on any taps.
+    plan = generate_plan(3)
+    bad = replace(plan, diag=(DiagonalTerm(((-1, 1),), False),) + plan.diag[1:])
+    assert plan.p < _BATCH_TERMS
+    fault = validate_plan(bad).failures[0]
+    assert fault == "dimension violation: diag term 0 has an index outside [0, 3)"
+    with pytest.raises(ValueError) as info:
+        precompute_diagonal(bad, [math.inf, 1.0, 1.0])
+    assert str(info.value) == "plan rows do not fit its matrices: " + fault
+
+
 def test_halved_overflow_retry_is_linear_in_the_plan():
     # Every halved sum of 1e308 taps overflows and is redone; the redo reads
     # one row, so it costs about what the first sum did, not a pass over all
-    # m taps per term.  Best of 5 interleaved runs each.
-    m = 4096
-    plan = generate_plan(m)
-    huge, finite = [1e308] * m, np.random.default_rng(4096).normal(size=m).tolist()
-    best = [math.inf, math.inf]
-    for _ in range(5):
-        for k, taps in enumerate((huge, finite)):
-            start = time.perf_counter()
-            precompute_diagonal(plan, taps)
-            best[k] = min(best[k], time.perf_counter() - start)
-    assert best[0] <= 10 * best[1]
+    # m taps per term.  Best of 5 interleaved runs each, for the loop form of
+    # the plain sums (m = 64, P = 86) and the runs form (m = 4096).
+    for m in (64, 4096):
+        plan = generate_plan(m)
+        huge, finite = [1e308] * m, np.random.default_rng(m).normal(size=m).tolist()
+        best = [math.inf, math.inf]
+        for _ in range(5):
+            for k, taps in enumerate((huge, finite)):
+                start = time.perf_counter()
+                precompute_diagonal(plan, taps)
+                best[k] = min(best[k], time.perf_counter() - start)
+        assert best[0] <= 10 * best[1]
 
 
 def test_halved_sum_overflow_stays_finite():
