@@ -15,13 +15,15 @@ arithmetics share one code path:
   sums from +0.0, halved where the term says, in one of two forms with the
   same bits, picked by the plan's diagonal term count P: from
   ``_BATCH_TERMS`` = 112 terms ``_run_sums`` over the runs of the diagonal
-  rows in the plan's cached schedule, the routine and schedule of the
-  executor's a_pre stage; below it, where those numpy calls cost more than
-  the terms, a Python loop.  One tail then applies the non-finite rule to
-  both: a halved sum that overflows is redone over its own row's halved
-  taps, so the diagonal is linear in the plan, and a NaN constant is the
-  first NaN its sum becomes.  The kernel keeps the diagonal as the float64
-  array the batched executor multiplies by;
+  rows in the plan's cached schedule; below it, where those numpy calls
+  cost more than the terms, a Python loop.  ``_run_sums`` is the one
+  vectorised routine that sums signed rows: every pre-sum of the executor,
+  in both its forms and both arithmetics, the batched diagonal and its
+  overflow redo.  One tail then applies the non-finite rule to both: a
+  halved sum that overflows is redone over its own row's halved taps, so
+  the diagonal is linear in the plan, and a NaN constant is the first NaN
+  its sum becomes.  The kernel keeps the diagonal as the float64 array the
+  batched executor multiplies by;
 * exact mode: rational values, exact to the last digit.  ``_coerce`` reads
   each value once, through its own ``as_integer_ratio()`` (a
   ``numbers.Rational`` without one through its numerator and denominator; any
@@ -30,7 +32,8 @@ arithmetics share one code path:
   plans produce is a signed tap sum divided by at most one factor of two, so
   2D times each constant is an integer: ``precompute_diagonal`` sums the
   scaled taps and keeps the diagonal as those integers over 2D, the form
-  ``fir_filter`` multiplies by, so it divides nothing.  Equality checks
+  ``fir_filter`` multiplies by, so it divides nothing; the batched executor
+  reads them as one ``object`` array of Python ints.  Equality checks
   against the direct method are exact.
 
 The executor, ``stream``, states its float and exact contracts.
@@ -130,9 +133,11 @@ class PreparedKernel:
     ``scaled`` is the diagonal in the form ``_coerce`` gives inputs and
     ``fir_filter`` multiplies by: in float mode the floats, with ``scale`` 1;
     in exact mode Python ints over ``scale`` = 2D, where D is the lcm of the
-    taps' denominators.  ``s`` is the diagonal itself: ``scaled`` in float
-    mode, each ``Fraction(v, scale)`` in exact mode.  Immutable; safe to
-    share between threads and reuse across windows.
+    taps' denominators.  The batched executor multiplies by the same values
+    as one read-only array, ``_array``: float64, or ``object`` in exact
+    mode.  ``s`` is the diagonal itself: ``scaled`` in float mode, each
+    ``Fraction(v, scale)`` in exact mode.  Immutable; safe to share between
+    threads and reuse across windows.
     """
 
     plan: KernelPlan
@@ -146,10 +151,12 @@ class PreparedKernel:
 
     @cached_property
     def _array(self) -> np.ndarray:
-        # Float mode: ``scaled`` as the read-only float64 array the batched
-        # executor multiplies by.  Outside the fields, so equality, hashing and
-        # repr never see it; precompute_diagonal stores the array it made here.
-        return _read_only(np.array(self.scaled))
+        # ``scaled`` as the read-only array the batched executor multiplies by:
+        # float64, or in exact mode ``object`` whatever the ints' size, where
+        # numpy alone picks int64, uint64 or object by magnitude.  Outside the
+        # fields, so equality, hashing and repr never see it;
+        # precompute_diagonal stores the float array it made here.
+        return _read_only(np.array(self.scaled, object if self.exact else None))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -164,18 +171,31 @@ _BATCH_TERMS = 112
 
 
 def _run_sums(runs, columns: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # The signed sums of a schedule's runs (``plan._runs``) into the rows of
-    # `out` they slice, each from its first term in ascending column order, a -
-    # entry subtracted; rows in no run keep what `out` holds.  The slices index
-    # axis 0, so `columns` and `out` may hold one value per row (the diagonal)
-    # or one window per column (the executor's a_pre stage).
+    # The signed sums of runs into the rows of `out` they slice, each from its
+    # first term in ascending column order, a - entry subtracted; a run with
+    # no terms sums to zero and rows in no run keep what `out` holds.  A run
+    # is a (rows, terms) pair and a term a (columns, sign) pair, indexing axis
+    # 0: the runs of a schedule (``plan._runs``) slice one value per row (the
+    # diagonal) or one window per column (the executor's a_pre stage), and
+    # ``(..., row)`` sums one sparse row into all of `out`, column by column.
+    # The first two terms make one ufunc call, -a + b as b - a, the same IEEE
+    # result; -a - b negates first, as -(a + b) differs on signed zeros.  A
+    # lone first term is copied, so every sum is an array of its own.
     for rows, terms in runs:
         run = out[rows]
-        (cols, sign), *rest = terms
-        if sign > 0:
-            run[...] = columns[cols]
+        if not terms:
+            run[...] = 0
+            continue
+        a, sign = terms[0]
+        if len(terms) > 1 and (sign > 0 or terms[1][1] > 0):
+            b, second = terms[1]
+            if sign < 0:  # -a + b as b - a
+                a, b = b, a
+            (np.add if sign == second else np.subtract)(columns[a], columns[b], run)
+            rest = terms[2:]
         else:
-            np.negative(columns[cols], run)
+            (np.positive if sign > 0 else np.negative)(columns[a], run)
+            rest = terms[1:]
         for cols, sign in rest:
             (np.add if sign > 0 else np.subtract)(run, columns[cols], run)
     return out

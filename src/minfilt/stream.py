@@ -6,35 +6,34 @@ last window's second output is discarded, so one uniform kernel serves every
 window.  ``apply_basic_op`` is the one-window case: a signal of m+1 samples.
 
 ``fir_filter`` computes on every window at once.  Sample j of every
-window is the stride-2 column x[j::2]: each ``a_pre`` row is a signed sum of
-columns, each diagonal product one vector multiply and each ``a_post`` row a
-signed sum of those, so P vector multiplies of length W = ceil((N-m+1)/2)
-replace one Python basic operation per window.  The signal enters through
-``kernels._coerce``, the one input rule, as the arithmetic computes on it.
-A contiguous float64 signal with an even number of outputs needs no padding
-zero, so the stages read it in place; no stage writes to its columns.
-There are two forms, picked by W and the arithmetic:
+window is the stride-2 column x[j::2], row j of one (m+1, W) view of the
+signal: each ``a_pre`` row is a signed sum of columns, each diagonal product
+one vector multiply and each ``a_post`` row a signed sum of those, so P
+vector multiplies of length W = ceil((N-m+1)/2) replace one Python basic
+operation per window.  The signal enters through ``kernels._coerce``, the
+one input rule, as the arithmetic computes on it.  A contiguous float64
+signal with an even number of outputs needs no padding zero, so the stages
+read it in place; no stage writes to its columns.  Every pre-sum, in both
+forms and both arithmetics, is ``kernels._run_sums``, the routine that sums
+the diagonal too.  There are two forms, picked by W alone:
 
-* a float call of fewer than ``_BATCH_WINDOWS`` windows runs ``_batched``:
-  each stage as a few numpy calls over all rows, read from the plan's cached
+* a call of fewer than ``_BATCH_WINDOWS`` windows runs ``_batched``: each
+  stage as a few numpy calls over all rows, read from the plan's cached
   schedule.  That is one call per term for each run of same-shaped pre rows
-  into one (P, W) array (``kernels._run_sums``, which sums the batched
-  diagonal too), one broadcast multiply, and per output row one
+  into one (P, W) array, one broadcast multiply, and per output row one
   gather of its signed terms and one fold.  On a short call the cost is
   numpy calls, not arithmetic: at m = 1024 this makes a few dozen of them,
   against ~5,000 row by row.  All P products are live at once, which at
   that length costs less than the calls saved;
-* longer float calls, and every exact call, run product by product, as the
-  paper's pipeline does: for k in ascending order, product k's pre-sum
-  (``_row_sums``, one vector operation per row term), its scaling in place by
-  s_k, and its fold into each output row that uses it (the schedule's
-  ``fold``).  The sum is then dropped, unless an output row starts with it,
-  so one W-long temporary is live at a time, not P, and malloc hands the
-  array just freed, still in cache, to the next product; the time saved is
-  allocation and cache, not multiplications.  Output rows take their terms
-  in ascending product order, so each is still a left fold in row order.  In
-  exact mode each operation is a Python int operation per window anyway, and
-  the batched form measured slower there.
+* longer calls run product by product, as the paper's pipeline does: for k
+  in ascending order, product k's pre-sum (its sparse row as one run, one
+  vector operation per row term), its scaling in place by s_k, and its fold
+  into each output row that uses it (the schedule's ``fold``).  The sum is
+  then dropped, unless an output row starts with it, so one W-long
+  temporary is live at a time, not P, and malloc hands the array just
+  freed, still in cache, to the next product; the time saved is allocation
+  and cache, not multiplications.  Output rows take their terms in
+  ascending product order, so each is still a left fold in row order.
 
 Both forms give the same bits (the batched fold adds -b where the product
 loop subtracts b, the same IEEE result) and the schedule's operation counts.
@@ -56,8 +55,9 @@ or past m; any other fault, such as index -1, raises at the plan's first
 call.
 
 Float contract: float64 arrays, each row summed in ascending column order,
-with a - b where a dense scan forms a + (-b): per window, the IEEE operations
-of y = a_post @ (s * (a_pre @ x)) read from the dense rows, in that order.
+with a - b where a dense scan forms a + (-b) and b - a where it forms
+-a + b: per window, the IEEE operations of y = a_post @ (s * (a_pre @ x))
+read from the dense rows, in that order.
 Finite, infinite and signed-zero outputs are bit-identical to that scan and
 do not depend on the signal's length; a NaN output is NaN at the same
 position, with sign and payload unspecified.  Overflow and invalid operations
@@ -82,53 +82,24 @@ from .kernels import OpCounter, PreparedKernel, _coerce, _run_sums
 
 __all__ = ["fir_filter", "apply_basic_op"]
 
-# Float calls with fewer windows than this run each stage as a few numpy calls
-# over all rows (``_batched``); longer calls run product by product, one numpy
-# call per row term, which at that length keeps one window-long array live.
+# Calls with fewer windows than this run each stage as a few numpy calls over
+# all rows (``_batched``); longer calls run product by product, one numpy call
+# per row term, which at that length keeps one window-long array live.
 _BATCH_WINDOWS = 256
 
 
-def _row_sums(rows, columns):
-    # Yields the signed sum of the columns over each row in ascending column
-    # order, one row at a time.  The first addition makes a new array and
-    # later ones update it in place; a lone term is +col or -col and an empty
-    # row new zeros, so every array yielded is one the caller may scale in
-    # place.  The generator lets go of each sum when asked for the next, so a
-    # caller that drops it first lets its memory serve the next sum.
-    for row in rows:
-        if not row:
-            yield np.zeros_like(columns[0])
-            continue
-        j, sign = row[0]
-        if len(row) == 1:
-            yield +columns[j] if sign > 0 else -columns[j]
-            continue
-        acc = columns[j] if sign > 0 else -columns[j]
-        j, sign = row[1]
-        acc = acc + columns[j] if sign > 0 else acc - columns[j]
-        for j, sign in row[2:]:
-            if sign > 0:
-                acc += columns[j]
-            else:
-                acc -= columns[j]
-        yield acc
-        del acc
-
-
-def _batched(schedule, kernel: PreparedKernel, padded: np.ndarray, windows: int) -> tuple[list, np.ndarray]:
-    # The three float stages over all rows at once, from the plan's schedule:
-    # per row and window the bits of the product loop.  Column j of `columns`
-    # is padded[j::2], sample j of every window.  Returns the two output rows
-    # and the (P, W) products.
-    step = padded.strides[0]
-    columns = np.ndarray((len(padded) - 2 * windows + 2, windows), padded.dtype, padded, 0,
-                         (step, 2 * step))
-    t = _run_sums(schedule.pre, columns, np.zeros((kernel.plan.p, windows)))
+def _batched(schedule, kernel: PreparedKernel, columns: np.ndarray) -> tuple[list, np.ndarray]:
+    # The three stages over all rows at once, from the plan's schedule, in the
+    # dtype of `columns` (row j is sample j of every window): per row and
+    # window the values of the product loop.  Returns the two output rows and
+    # the (P, W) products.
+    windows = columns.shape[1]
+    t = _run_sums(schedule.pre, columns, np.zeros((kernel.plan.p, windows), columns.dtype))
     t *= kernel._array[:, None]
     ys = []
     for products, negative in schedule.post:
         if not len(products):
-            ys.append(np.zeros(windows))
+            ys.append(np.zeros(windows, columns.dtype))
             continue
         terms = t.take(products, 0)
         if negative is not None:
@@ -169,15 +140,18 @@ def fir_filter(kernel: PreparedKernel, signal: Sequence,
     else:
         padded = np.zeros(2 * windows + m - 1, dtype)
         padded[:n] = samples
+    step = padded.strides[0]
+    # Row j is padded[j::2], sample j of every window.
+    columns = np.ndarray((m + 1, windows), dtype, padded, 0, (step, 2 * step))
     with np.errstate(over="ignore", invalid="ignore"):
-        if windows < _BATCH_WINDOWS and not kernel.exact:
+        if windows < _BATCH_WINDOWS:
             # `_` keeps the (P, W) products until the list is built: freed
             # earlier, they can let malloc trim a heap top the next call faults in.
-            ys, _ = _batched(schedule, kernel, padded, windows)
+            ys, _ = _batched(schedule, kernel, columns)
         else:
-            columns = [padded[j : j + 2 * windows : 2] for j in range(m + 1)]
             ys = [None, None]
-            for t, sk, uses in zip(_row_sums(plan.pre_rows, columns), kernel.scaled, schedule.fold):
+            for row, sk, uses in zip(plan.pre_rows, kernel.scaled, schedule.fold):
+                t = _run_sums(((..., row),), columns, np.empty(windows, dtype))
                 t *= sk  # t_k becomes mu_k = s_k * t_k
                 for r, sign in uses:
                     y = ys[r]

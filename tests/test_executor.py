@@ -117,23 +117,29 @@ def test_hand_built_plan_with_shared_and_empty_rows():
         assert got == per_window(kernel, signal) == [3.0, 0, -1.5, 0, 24.0]
         assert all(type(v) is kind for v in got)
 
-    # A lone negative pre term, and a post row over the empty product alone:
-    # with a negative tap its product is -0.0, and y1 = -mu_2 is +0.0.  Both
-    # forms, on 3 windows and on _BATCH_WINDOWS, bit-equal to the dense scan
-    # and counted per row: no pre-additions, two post-additions per window.
-    lone = replace(plan, pre_rows=(((0, 1),), ((1, -1),), ()),
-                   post_rows=(((0, 1), (1, 1), (2, 1)), ((2, -1),)))
+    # A lone negative pre term, a post row that starts with the empty
+    # product negated, and pre rows that start (-,+), (+,-) and (-,-), which
+    # the pre stage starts in one operation each: -a + b as b - a, the same
+    # IEEE result, while -a - b must not become -(a + b).  With a negative tap
+    # the empty product is -0.0 and -mu_2 +0.0; with a positive one -mu_2 is
+    # -0.0, so y1 = -mu_2 + mu_5 shows the sign of a zero mu_5, which differs
+    # from -(a + b) for a = +-0.0, b = -+0.0.  Both forms, on 3 windows and on
+    # _BATCH_WINDOWS, bit-equal to the dense scan and counted per row.
+    lone = replace(plan, pre_rows=(((0, 1),), ((1, -1),), (), ((0, -1), (1, 1)), ((0, 1), (1, -1)),
+                                   ((0, -1), (1, -1))),
+                   post_rows=(((0, 1), (1, 1), (2, 1), (3, 1), (4, 1)), ((2, -1), (5, 1))),
+                   diag=(DiagonalTerm(((0, 1),), False),) * 6)
     doc = json.loads(plan_to_json(lone))
     rng = np.random.default_rng(3)
     for windows in (3, _BATCH_WINDOWS):
-        signal = rng.choice([-0.0, 0.0, 1.5, -2.0, math.inf, math.nan], size=2 * windows)
+        signal = rng.choice([-0.0, 0.0, 1.5, -2.0, math.inf, -math.inf, math.nan], size=2 * windows)
         for tap in (-0.5, 3.0):
             kernel = precompute_diagonal(lone, [tap])
             counter = OpCounter()
             got = fir_filter(kernel, signal, counter)
             want = dense_scan_outputs(doc, kernel.s, signal)
             assert [nan_or_bits(v) for v in got] == [nan_or_bits(v) for v in want]
-            assert counter == OpCounter(pre_adds=0, mults=3 * windows, post_adds=2 * windows)
+            assert counter == OpCounter(pre_adds=3 * windows, mults=6 * windows, post_adds=5 * windows)
         exact = precompute_diagonal(lone, [Fraction(-1, 2)], exact=True)
         finite = [0 if math.isnan(v) or math.isinf(v) else v for v in signal]
         assert fir_filter(exact, finite) == per_window(exact, finite)
@@ -375,6 +381,11 @@ def test_exact_integer_path_on_wide_denominators(name, taps, signal):
     assert type(kernel.s) is tuple and all(type(v) is Fraction for v in kernel.s)
     assert list(kernel.s) == fraction_diagonal(plan, taps)
 
-    got = fir_filter(kernel, signal)
-    assert all(type(v) is Fraction for v in got)
-    assert got == naive_fir(signal, taps, exact=True)
+    # The signal as given takes the batched form; repeated to _BATCH_WINDOWS
+    # windows, the product loop.
+    n = 2 * _BATCH_WINDOWS + plan.m - 1
+    long = np.resize(signal, n) if isinstance(signal, np.ndarray) else (signal * n)[:n]
+    for samples in signal, long:
+        got = fir_filter(kernel, samples)
+        assert all(type(v) is Fraction for v in got)
+        assert got == naive_fir(samples, taps, exact=True)
