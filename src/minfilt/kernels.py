@@ -11,30 +11,19 @@ arithmetics share one code path:
 * float mode (default): IEEE double arithmetic, summation in matrix-row index
   order so results are bit-reproducible across runs.  Each value becomes one
   float64 as numpy converts it, so an int beyond float range raises
-  OverflowError, as ``float()`` does.  ``precompute_diagonal`` makes plain
-  sums from +0.0, halved where the term says, in one of two forms with the
-  same bits, picked by the plan's diagonal term count P: from
-  ``_BATCH_TERMS`` = 112 terms ``_run_sums`` over the runs of the diagonal
-  rows in the plan's cached schedule; below it, where those numpy calls
-  cost more than the terms, a Python loop.  ``_run_sums`` is the one
-  vectorised routine that sums signed rows: every pre-sum of the executor,
-  in both its forms and both arithmetics, the batched diagonal and its
-  overflow redo.  One tail then applies the non-finite rule to both: a
-  halved sum that overflows is redone over its own row's halved taps, so
-  the diagonal is linear in the plan, and a NaN constant is the first NaN
-  its sum becomes.  The kernel keeps the diagonal as the float64 array the
-  batched executor multiplies by;
+  OverflowError, as ``float()`` does;
 * exact mode: rational values, exact to the last digit.  ``_coerce`` reads
   each value once, through its own ``as_integer_ratio()`` (a
   ``numbers.Rational`` without one through its numerator and denominator; any
   other Real without one is the rule's TypeError), and returns Python
-  ints scaled by D, the lcm of the denominators, with D.  Every constant the
-  plans produce is a signed tap sum divided by at most one factor of two, so
-  2D times each constant is an integer: ``precompute_diagonal`` sums the
-  scaled taps and keeps the diagonal as those integers over 2D, the form
-  ``fir_filter`` multiplies by, so it divides nothing; the batched executor
-  reads them as one ``object`` array of Python ints.  Equality checks
+  ints scaled by D, the lcm of the denominators, with D.  Equality checks
   against the direct method are exact.
+
+Two routines sum signed rows: ``_run_sums``, the one vectorised routine
+(every pre-sum of the executor, in both its forms and both arithmetics, and
+the batched diagonal), and ``_row_sum``, the one Python-scalar routine.
+``precompute_diagonal`` states the diagonal's rules: its two forms, its
+non-finite rule and where it checks the executor's row rule.
 
 The executor, ``stream``, states its float and exact contracts.
 
@@ -166,7 +155,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 # Float diagonals of plans with at least this many terms are summed as a few
 # numpy calls over all terms (``_run_sums``); smaller plans, and exact mode,
-# sum each term in a Python loop, which costs less below it.
+# sum each term with ``_row_sum``, which costs less below it.
 _BATCH_TERMS = 112
 
 
@@ -201,90 +190,84 @@ def _run_sums(runs, columns: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _first_nan(row, taps) -> float:
-    # The row's float sum from +0.0, stopped at the first NaN it becomes.  Of
-    # NaN + NaN, CPython's add keeps the second NaN until the interpreter
-    # specializes it and the first after, and numpy's loops keep either, by
-    # where the term falls in them; a sum that stops there adds no two NaNs.
-    total = 0.0
+def _row_sum(row, values, total):
+    # The row's signed sum of `values` from `total`: +v or -v in ascending
+    # index order, stopped at the first NaN it becomes.  Of NaN + NaN,
+    # CPython's add keeps the second NaN until the interpreter specializes it
+    # and the first after, and numpy's loops keep either, by where the term
+    # falls in them; a sum that stops there adds no two NaNs.  An exact sum,
+    # of Python ints, never stops.
     for i, c in row:
-        total = total + taps[i] if c > 0 else total - taps[i]
+        total = total + values[i] if c > 0 else total - values[i]
         if total != total:
             break
     return total
 
 
 def _finish_float(plan: KernelPlan, w: np.ndarray, total: np.ndarray) -> np.ndarray:
-    # The float non-finite rule, on plain sums from +0.0 halved where their
-    # term says.  A halved sum that overflowed is redone on its row's halved
-    # taps; the redo sums every row again, so it stays linear in the plan.  A
-    # NaN constant is summed again up to the first NaN it becomes.
+    # The non-finite rule of precompute_diagonal, one constant at a time.
     if np.isfinite(total).all():
         return total
-    schedule = plan._schedule  # raises if the row rule rejects the plan
-    over = schedule.halved & np.isinf(total)
-    if over.any():
-        with np.errstate(over="ignore", invalid="ignore"):
-            total[over] = _run_sums(schedule.diag, w / 2, np.zeros(plan.p))[over]
-    nan = np.flatnonzero(np.isnan(total)).tolist()
-    if nan:
-        taps = w.tolist()
-        for k in nan:
-            total[k] = _first_nan(plan.diag[k].row, taps)
+    plan._schedule  # raises if the row rule rejects the plan
+    taps, bad = w.tolist(), np.flatnonzero(~np.isfinite(total))
+    halves = [t / 2 for t in taps]
+    for k, v in zip(bad.tolist(), total[bad].tolist()):
+        term = plan.diag[k]
+        if v != v:  # summed again, up to the first NaN it becomes
+            total[k] = _row_sum(term.row, taps, 0.0)
+        elif term.halved:  # an overflowed halved sum, redone on halved taps
+            total[k] = _row_sum(term.row, halves, 0.0)
     return total
 
 
 def precompute_diagonal(plan: KernelPlan, taps: Sequence, exact: bool = False) -> PreparedKernel:
     """Evaluate the diagonal constants for the given taps.
 
-    Each constant starts from zero and adds its signed taps in ascending
-    index order.  In float mode a halved term divides that sum by two, which
-    rounds only when the half is subnormal; a sum that overflows to +-inf is
-    redone on the row's own halved taps, so a finite halved sum is not lost
-    and the redo costs one row, not m taps.  A NaN constant is the first NaN
-    its sum becomes, whatever the interpreter's state.  In exact mode the
-    taps are scaled to integers by the lcm D of their denominators, and each
-    constant is its integer sum over 2D: the sum itself when halved, twice
-    it if not.
+    Each constant is its row's signed tap sum, from zero in ascending index
+    order, halved where its term says.  Exact mode scales the taps to
+    integers by the lcm D of their denominators; every constant is then an
+    integer over 2D, its sum when halved and twice it if not, which
+    ``fir_filter`` multiplies by as it is.  Equal to the direct method, it
+    needs no other rule.
 
-    The plain sums come in one of two forms with the same bits.  A float
-    plan of at least ``_BATCH_TERMS`` diagonal terms runs ``_run_sums`` over
-    the runs of same-shaped diagonal rows in the plan's cached schedule, as
-    the executor's a_pre stage reads the samples; smaller plans, and exact
-    mode, sum each term in a Python loop, which costs less there.  Every
-    float diagonal then passes one tail, which leaves finite constants as
-    they are and applies the overflow and NaN rules to the rest, reading
-    the plan's schedule.  The kernel keeps the float diagonal as the
-    float64 array the batched executor multiplies by.
+    Float mode sums from +0.0 and halves by dividing by two, which rounds
+    only when the half is subnormal.  The plain sums come in one of two forms
+    with the same bits, picked by the plan's diagonal term count P: from
+    ``_BATCH_TERMS`` terms, ``_run_sums`` over the runs of the diagonal rows
+    in the plan's cached schedule, as the executor's a_pre stage reads the
+    samples; below it, where those numpy calls cost more than the terms,
+    ``_row_sum`` per term, as in exact mode.  One tail then applies the
+    non-finite rule to both, one constant at a time.  A halved sum that
+    overflows to +-inf is redone with ``_row_sum`` over its row's halved
+    taps, so a finite halved constant is not lost and the diagonal stays
+    linear in the plan.  A NaN constant is the first NaN its sum becomes,
+    whatever the interpreter's state.  The kernel keeps the float diagonal as
+    the float64 array the batched executor multiplies by.
+
+    Admission: the runs form reads the plan's schedule, and the tail reads it
+    when a constant is not finite, so such a float plan meets the executor's
+    whole row rule (see ``stream``) here.  Otherwise only a diagonal index at
+    or past m is caught here; any other row fault raises at the plan's first
+    ``fir_filter`` call.
 
     Raises ValueError when the tap count does not match the plan, the plan
-    breaks the executor's row rule where it is checked (a diagonal index at
-    or past m; a wide float plan, or a float plan with a non-finite
-    constant, is checked whole, as ``stream`` admits plans) or an
-    exact-mode tap is inf or NaN, and TypeError when the taps break the
-    input rule.
+    breaks the row rule where it is checked, or an exact-mode tap is inf or
+    NaN, and TypeError when the taps break the input rule.
     """
     if len(taps) != plan.m:
         raise ValueError(f"plan is for {plan.m} taps, got {len(taps)}")
     w, scale = _coerce(taps, exact)
     if exact or plan.p < _BATCH_TERMS:
-        values = w if exact else w.tolist()
-        s = []
+        values, zero = (w, 0) if exact else (w.tolist(), 0.0)
         try:
-            for term in plan.diag:
-                total = 0 if exact else 0.0
-                for i, c in term.row:
-                    total = total + values[i] if c > 0 else total - values[i]
-                if exact:
-                    s.append(total if term.halved else 2 * total)
-                else:
-                    s.append(total / 2 if term.halved else total)
+            sums = [_row_sum(term.row, values, zero) for term in plan.diag]
         except IndexError:
             plan._schedule  # a diag index past m: raises the row rule's ValueError
             raise
+        pairs = zip(sums, plan.diag)
         if exact:
-            return PreparedKernel(plan, tuple(s), 2 * scale, True)
-        total = np.array(s)
+            return PreparedKernel(plan, tuple([v if t.halved else 2 * v for v, t in pairs]), 2 * scale, True)
+        total = np.array([v / 2 if t.halved else v for v, t in pairs])
     else:
         schedule = plan._schedule  # raises if the row rule rejects the plan
         with np.errstate(over="ignore", invalid="ignore"):

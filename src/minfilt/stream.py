@@ -14,8 +14,8 @@ operation per window.  The signal enters through ``kernels._coerce``, the
 one input rule, as the arithmetic computes on it.  A contiguous float64
 signal with an even number of outputs needs no padding zero, so the stages
 read it in place; no stage writes to its columns.  Every pre-sum, in both
-forms and both arithmetics, is ``kernels._run_sums``, the routine that sums
-the diagonal too.  There are two forms, picked by W alone:
+forms and both arithmetics, is ``kernels._run_sums``, the routine the batched
+diagonal uses too.  There are two forms, picked by W alone:
 
 * a call of fewer than ``_BATCH_WINDOWS`` windows runs ``_batched``: each
   stage as a few numpy calls over all rows, read from the plan's cached
@@ -48,11 +48,7 @@ would misread (an entry of 2 read as 1, a stored 0 subtracted, a repeated
 index summed twice, index -1 wrapped) gives an output.  Block tiling, the
 halving forms and the correctness identity are left to ``validate_plan``: a
 plan with shared or empty rows runs as its rows say.  ``precompute_diagonal``
-reads the same schedule, and so raises the same ValueError, on a float plan
-of ``kernels._BATCH_TERMS`` diagonal terms or more and on a float plan with
-a non-finite constant.  Otherwise it raises it only for a diagonal index at
-or past m; any other fault, such as index -1, raises at the plan's first
-call.
+states where it checks the same rule.
 
 Float contract: float64 arrays, each row summed in ascending column order,
 with a - b where a dense scan forms a + (-b) and b - a where it forms

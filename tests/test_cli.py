@@ -1,10 +1,16 @@
 """Command-line interface: subcommands, exit codes, deterministic output."""
 
 import json
+import math
+import warnings
+
+import pytest
 
 from minfilt import generate_plan, plan_to_json
 from minfilt import cli
 from minfilt.cli import main
+from minfilt.kernels import _BATCH_TERMS
+from minfilt.stream import _BATCH_WINDOWS
 
 
 def run(capsys, *argv):
@@ -150,6 +156,54 @@ def test_filter_modes_agree(tmp_path, capsys):
     assert out == "6.0\n9.0\n12.0\n15.0\n"
     code, naive_out, _ = run(capsys, "filter", str(sig), str(taps), "--mode", "naive")
     assert code == 0 and naive_out == out
+
+
+def filter_both_modes(tmp_path, capsys, signal, taps):
+    # `minfilt filter` in each --mode on the given values, written to files
+    # in tmp_path; no warning may escape.  Returns the two outputs' lines.
+    sig, tap = tmp_path / "signal.txt", tmp_path / "taps.txt"
+    sig.write_text("".join(f"{v}\n" for v in signal))
+    tap.write_text("".join(f"{v}\n" for v in taps))
+    lines = []
+    for mode in ("naive", "minimal"):
+        result = tmp_path / f"{mode}.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "filter", str(sig), str(tap), "--mode", mode, "-o", str(result))
+        assert (code, out, err) == (0, "", "")
+        lines.append(result.read_text().splitlines())
+    return lines
+
+
+@pytest.mark.parametrize("m, n, tap_mod, sample_mod", [(200, 600, 19, 23), (11, 2000, 9, 13)])
+def test_filter_modes_agree_on_both_executor_forms(tmp_path, capsys, m, n, tap_mod, sample_mod):
+    # Small integers, so every float operation is exact and the two modes
+    # print the same text.  200 taps and 600 samples are 201 windows, below
+    # _BATCH_WINDOWS, the batched stages; 11 taps and 2000 samples are 995
+    # windows, the product loop.
+    windows = (n - m + 2) // 2
+    assert (windows < _BATCH_WINDOWS) == (m == 200)
+    taps = [(i * 7919) % tap_mod - tap_mod // 2 for i in range(1, m + 1)]
+    signal = [(i * 104729) % sample_mod - sample_mod // 2 for i in range(1, n + 1)]
+    naive, minimal = filter_both_modes(tmp_path, capsys, signal, taps)
+    assert len(minimal) == n - m + 1
+    assert minimal == naive
+
+
+@pytest.mark.parametrize("m, n", [(200, 263), (11, 21)])
+def test_filter_huge_taps_on_both_diagonal_forms(tmp_path, capsys, m, n):
+    # Taps of +-1e308: some halved diagonal sum overflows, so the float tail
+    # of precompute_diagonal redoes it on halved taps.  200 taps are P = 267
+    # terms, at least _BATCH_TERMS, the runs form; 11 taps are P = 15, below
+    # it, the loop form.
+    plan = generate_plan(m)
+    assert (plan.p >= _BATCH_TERMS) == (m == 200)
+    taps = [-1e308 if (i * 7919) % 5 < 2 else 1e308 for i in range(1, m + 1)]
+    assert any(t.halved and math.isinf(sum(c * taps[i] for i, c in t.row)) for t in plan.diag)
+    signal = [(i * 104729) % 7 - 3 for i in range(1, n + 1)]
+    naive, minimal = filter_both_modes(tmp_path, capsys, signal, taps)
+    assert len(minimal) == n - m + 1
+    assert minimal == naive
 
 
 def test_filter_odd_output_count(tmp_path, capsys):
