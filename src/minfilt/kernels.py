@@ -12,12 +12,13 @@ arithmetics share one code path:
   order so results are bit-reproducible across runs.  Each value becomes one
   float64 as numpy converts it, so an int beyond float range raises
   OverflowError, as ``float()`` does;
-* exact mode: rational values, exact to the last digit.  ``_coerce`` reads
-  each value once, through its own ``as_integer_ratio()`` (a
-  ``numbers.Rational`` without one through its numerator and denominator; any
-  other Real without one is the rule's TypeError), and returns Python
-  ints scaled by D, the lcm of the denominators, with D.  Equality checks
-  against the direct method are exact.
+* exact mode: rational values, exact to the last digit.  ``_coerce``
+  returns Python ints scaled by D, the lcm of the denominators, with D.  An
+  integer ndarray, or a sequence whose values are all ``int``, is read as it
+  is, with D = 1.  Any other input reads each value once, through its own
+  ``as_integer_ratio()`` (a ``numbers.Rational`` without one through its
+  numerator and denominator; any other Real without one is the rule's
+  TypeError).  Equality checks against the direct method are exact.
 
 Two routines sum signed rows: ``_run_sums``, the one vectorised routine
 (every pre-sum of the executor, in both its forms and both arithmetics, and
@@ -79,14 +80,18 @@ class OpCounter:
 def _coerce(values: Sequence, exact: bool) -> tuple:
     # The values as callers compute on them, and the scale D they were multiplied by.
     # Float mode: a float64 ndarray (a 1-D float64 one as is) and 1.  Exact mode: Python
-    # ints from each value's own integer ratio, and D, the lcm of the denominators;
-    # numpy would round [2**63 + 1, -1], np.longdouble stays itself through .item(),
-    # and inf and NaN have no ratio.  Only a 1-D ndarray reaches numpy before the type
-    # check: np.asarray of a ragged list raises ValueError.  Any other container the
-    # rule does not admit is checked as one value, so its type names the TypeError.
+    # ints and D, the lcm of the denominators.  An integer ndarray and a sequence of
+    # ints (bool is not int here) are their own integers, with D = 1; other values
+    # pass each its own integer ratio: numpy would round [2**63 + 1, -1],
+    # np.longdouble stays itself through .item(), and inf and NaN have no ratio.
+    # Only a 1-D ndarray reaches numpy before the type check: np.asarray of a ragged
+    # list raises ValueError.  Any other container the rule does not admit is checked
+    # as one value, so its type names the TypeError.
     if isinstance(values, np.ndarray) and values.ndim == 1:
         if not exact and values.dtype.kind in "biuf":
             return values.astype(np.float64, copy=False), 1
+        if exact and values.dtype.kind in "iu":
+            return values.tolist(), 1
         values = values.tolist()
     elif not isinstance(values, Sequence) or isinstance(values, (str, bytes, bytearray, memoryview)):
         values = [values]
@@ -95,6 +100,8 @@ def _coerce(values: Sequence, exact: bool) -> tuple:
         raise TypeError(f"samples and taps must be real numbers in a 1-D sequence, got {', '.join(bad)}")
     if not exact:
         return np.array(values, dtype=np.float64), 1
+    if kinds == {int}:
+        return list(values), 1
     try:
         ratios = [_ratio(v) for v in values]
     except (OverflowError, ValueError):
@@ -123,10 +130,11 @@ class PreparedKernel:
     ``fir_filter`` multiplies by: in float mode the floats, with ``scale`` 1;
     in exact mode Python ints over ``scale`` = 2D, where D is the lcm of the
     taps' denominators.  The batched executor multiplies by the same values
-    as one read-only array, ``_array``: float64, or ``object`` in exact
-    mode.  ``s`` is the diagonal itself: ``scaled`` in float mode, each
-    ``Fraction(v, scale)`` in exact mode.  Immutable; safe to share between
-    threads and reuse across windows.
+    as one read-only array, ``_array``: float64, or in exact mode int64 when
+    every constant fits it and ``object`` otherwise.  ``s`` is the diagonal
+    itself: ``scaled`` in float mode, each ``Fraction(v, scale)`` in exact
+    mode.  Immutable; safe to share between threads and reuse across
+    windows.
     """
 
     plan: KernelPlan
@@ -139,13 +147,23 @@ class PreparedKernel:
         return tuple(Fraction(v, self.scale) for v in self.scaled) if self.exact else self.scaled
 
     @cached_property
+    def _max_scaled(self) -> int:
+        # max(1, max|S|) over the exact ``scaled`` integers: the diagonal's factor
+        # in fir_filter's int64 bound.
+        return max([1, *map(abs, self.scaled)])
+
+    @cached_property
     def _array(self) -> np.ndarray:
         # ``scaled`` as the read-only array the batched executor multiplies by:
-        # float64, or in exact mode ``object`` whatever the ints' size, where
-        # numpy alone picks int64, uint64 or object by magnitude.  Outside the
-        # fields, so equality, hashing and repr never see it;
+        # float64, or in exact mode int64 when every constant fits it (2**63 - 1
+        # is its largest value) and ``object`` otherwise; numpy alone would pick
+        # uint64 for some ints, which turns int64 products into floats.  Stages
+        # on ``object`` read int64 constants as Python ints.  Both caches sit
+        # outside the fields, so equality, hashing and repr never see them;
         # precompute_diagonal stores the float array it made here.
-        return _read_only(np.array(self.scaled, object if self.exact else None))
+        if not self.exact:
+            return _read_only(np.array(self.scaled))
+        return _read_only(np.array(self.scaled, np.int64 if self._max_scaled < 2**63 else object))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

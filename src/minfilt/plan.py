@@ -192,7 +192,9 @@ class _Schedule(NamedTuple):
     # product of each term in order and a (terms, 1) mask of the negative
     # ones, or None when there are none.  ``fold`` is the same a_post rows
     # read per product, for the product-by-product form: the (output row,
-    # sign) of each term on that product, in ascending row order.
+    # sign) of each term on that product, in ascending row order.  ``growth``
+    # is G = max(1, longest a_post row) * max(1, longest a_pre row): no
+    # pre-sum, product or partial output sum exceeds G * max|s| * max|x|.
     pre: _Runs
     diag: _Runs
     halved: np.ndarray
@@ -200,6 +202,7 @@ class _Schedule(NamedTuple):
     fold: tuple[tuple[tuple[int, int], ...], ...]
     pre_adds: int   # additions per window, as the rows define them
     post_adds: int
+    growth: int
 
 
 def _make_schedule(plan: KernelPlan) -> _Schedule:
@@ -215,9 +218,10 @@ def _make_schedule(plan: KernelPlan) -> _Schedule:
         for k, v in row:
             fold[k] += ((r, v),)
     adds = [sum(len(row) - 1 for row in rows if row) for rows in (plan.pre_rows, plan.post_rows)]
+    longest = [max([1, *map(len, rows)]) for rows in (plan.pre_rows, plan.post_rows)]
     return _Schedule(_runs(plan.pre_rows), _runs([term.row for term in plan.diag]),
                      np.array([term.halved for term in plan.diag]), post,
-                     tuple(fold), *adds)
+                     tuple(fold), *adds, longest[0] * longest[1])
 
 
 def _runs(rows) -> _Runs:

@@ -61,8 +61,16 @@ give inf and NaN without warnings, as Python floats do.
 
 Exact contract: ``_coerce`` reads the samples once, as integers scaled by
 the lcm Dx of their denominators, and the kernel holds the diagonal as
-integers over its ``scale``, twice the lcm of the taps' denominators; the
-stages run on ``object`` arrays of Python ``int``, and each output is one
+integers S over its ``scale``, twice the lcm of the taps' denominators.  The
+stages run on int64 arrays when no value they make can overflow, and on
+``object`` arrays of Python ``int`` otherwise.  The bound is read from the
+plan's rows: a pre-sum adds at most the longest ``a_pre`` row's count of
+samples, and an output's partial sum at most the longest ``a_post`` row's
+count of products, so with G the product of those two lengths (each at
+least 1) every input, pre-sum, product and partial sum lies within
+G * max(1, max|S|) * max(1, max|X|) of zero, on the scaled integers X.
+int64 runs when that is at most 2**63 - 1; the dtype is the only difference,
+so both forms run one body in all three dtypes.  Each output is one
 ``Fraction``, Y / (scale * Dx), equal to the direct method's.  Every sample
 must be finite.
 """
@@ -129,8 +137,13 @@ def fir_filter(kernel: PreparedKernel, signal: Sequence,
     n_out = n - m + 1
     windows = (n_out + 1) // 2
     schedule = plan._schedule  # built once per plan; raises if the rule rejects its rows
-    # object, not int64: the scaled integers are unbounded.
-    dtype = object if kernel.exact else np.float64
+    if not kernel.exact:
+        dtype = np.float64
+    else:
+        # int64 when the plan's row growth proves it holds every value the stages
+        # make (2**63 - 1 is its largest value), object otherwise.
+        bound = schedule.growth * kernel._max_scaled * max(1, max(samples), -min(samples))
+        dtype = np.int64 if bound < 2**63 else object
     if n == 2 * windows + m - 1 and not kernel.exact and samples.flags.c_contiguous:
         padded = samples  # no zero to append: read in place, as no stage writes to it
     else:

@@ -15,6 +15,7 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from minfilt import (
     precompute_diagonal,
     validate_plan,
 )
+from minfilt import stream
 from minfilt.stream import _BATCH_WINDOWS
 from test_kernels import dense_scan_outputs, nan_or_bits
 
@@ -389,3 +391,57 @@ def test_exact_integer_path_on_wide_denominators(name, taps, signal):
         got = fir_filter(kernel, samples)
         assert all(type(v) is Fraction for v in got)
         assert got == naive_fir(samples, taps, exact=True)
+
+
+def stage_dtypes(kernel, signal) -> set:
+    """The dtypes of the columns one fir_filter call sums its pre rows over."""
+    with mock.patch.object(stream, "_run_sums", wraps=stream._run_sums) as spy:
+        fir_filter(kernel, signal)
+    return {call.args[1].dtype for call in spy.call_args_list}
+
+
+@pytest.mark.parametrize("windows", [3, _BATCH_WINDOWS], ids=["batched", "product-loop"])
+def test_exact_stages_run_on_int64_only_under_the_bound(windows):
+    # Exact stages run on int64 when G * max(1, max|S|) * max(1, max|X|) fits
+    # it, G being the longest a_post row times the longest a_pre row, and on
+    # object otherwise.  m = 1 has one-term rows, so G = 1, and a tap of 1 is
+    # S = 2 over scale 2: a sample of 2**62 makes the product 2**63.
+    int64, obj = np.dtype(np.int64), np.dtype(object)
+    one = precompute_diagonal(plan_for(1), [1], exact=True)
+    assert one.scaled == (2, 2) and one._array.dtype == int64
+    over = [2**62, -2**62] * windows
+    assert stage_dtypes(one, over) == {obj}
+    assert fir_filter(one, over) == [Fraction(2**62), Fraction(-2**62)] * windows
+    under = [2**62 - 1, -(2**62 - 1)] * windows  # 2 * (2**62 - 1) = 2**63 - 2
+    assert stage_dtypes(one, under) == {int64}
+    assert fir_filter(one, under) == naive_fir(under, [1], exact=True)
+
+    # The same edge on plans with longer rows, at the largest |x| the bound
+    # admits and one above it, with the extremes at both signs.
+    rng = np.random.default_rng(26)
+    for m in 2, 3, 11:
+        plan = plan_for(m)
+        growth = max(map(len, plan.post_rows)) * max(map(len, plan.pre_rows))
+        assert plan._schedule.growth == growth
+        taps = rng.integers(-2**20, 2**20, m).tolist()
+        kernel = precompute_diagonal(plan, taps, exact=True)
+        top = (2**63 - 1) // (growth * max(map(abs, kernel.scaled)))
+        for x, dtype in (top, int64), (top + 1, obj):
+            signal = rng.choice([x, -x, x - 1, 0], 2 * windows + m - 1)
+            signal[rng.integers(0, len(signal))] = x
+            assert stage_dtypes(kernel, signal) == {dtype}
+            assert fir_filter(kernel, signal) == naive_fir(signal, taps, exact=True)
+
+    # A uint64 sample past int64 takes object; bool samples are 0 and 1.
+    taps = [3, -1, 2]
+    kernel = precompute_diagonal(plan_for(3), taps, exact=True)
+    for signal, dtype in ((np.array([2**64 - 1, 0, 7] * windows + [1, 2], np.uint64), obj),
+                          (rng.integers(0, 2, 2 * windows + 2).astype(bool), int64)):
+        assert stage_dtypes(kernel, signal) == {dtype}
+        assert fir_filter(kernel, signal) == naive_fir(signal, taps, exact=True)
+
+    # A constant past int64 keeps the kernel's array, and every stage, on object.
+    wide = precompute_diagonal(plan_for(1), [2**62], exact=True)
+    assert wide._array.dtype == obj
+    assert stage_dtypes(wide, [1, -1] * windows) == {obj}
+    assert fir_filter(wide, [1, -1] * windows) == [Fraction(2**62), Fraction(-2**62)] * windows

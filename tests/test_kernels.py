@@ -415,6 +415,19 @@ def test_loop_nan_constant_is_the_first_nan_of_its_sum():
     assert struct.unpack("<Q", bytes.fromhex(out.stdout.strip()))[0] == 0x7FF8_0000_0000_1234
 
 
+def test_row_sum_stops_at_the_first_nan_before_the_add_specializes():
+    # Called once in a fresh interpreter, _row_sum's float add is CPython's
+    # generic one, which keeps the second NaN of NaN + NaN where it keeps one;
+    # only the stop gives the sum the first NaN it becomes.
+    code = ("import struct; from minfilt.kernels import _row_sum\n"
+            "nan = lambda q: struct.unpack('<d', struct.pack('<Q', q))[0]\n"
+            "values = [nan(0x7FF8_0000_0000_1234), -nan(0x7FF8_0000_0000_0042), 1.0]\n"
+            "print(struct.pack('<d', _row_sum(((0, 1), (1, 1), (2, 1)), values, 0.0)).hex())")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert struct.unpack("<Q", bytes.fromhex(out.stdout.strip()))[0] == 0x7FF8_0000_0000_1234
+
+
 def test_batched_nan_constant_is_the_first_nan_of_its_sum():
     # Of NaN + NaN, numpy's loops keep either payload, by where the term falls
     # in them, and CPython's add keeps the second until it specializes, the
