@@ -23,8 +23,8 @@ arithmetics share one code path:
 Two routines sum signed rows: ``_run_sums``, the one vectorised routine
 (every pre-sum of the executor, in both its forms and both arithmetics, and
 the batched diagonal), and ``_row_sum``, the one Python-scalar routine.
-``precompute_diagonal`` states the diagonal's rules: its two forms, its
-non-finite rule and where it checks the executor's row rule.
+``precompute_diagonal`` states the diagonal's rules: its two forms and its
+non-finite rule.  It admits plans by the executor's row rule (see ``stream``).
 
 The executor, ``stream``, states its float and exact contracts.
 
@@ -226,7 +226,6 @@ def _finish_float(plan: KernelPlan, w: np.ndarray, total: np.ndarray) -> np.ndar
     # The non-finite rule of precompute_diagonal, one constant at a time.
     if np.isfinite(total).all():
         return total
-    plan._schedule  # raises if the row rule rejects the plan
     taps, bad = w.tolist(), np.flatnonzero(~np.isfinite(total))
     halves = [t / 2 for t in taps]
     for k, v in zip(bad.tolist(), total[bad].tolist()):
@@ -262,32 +261,22 @@ def precompute_diagonal(plan: KernelPlan, taps: Sequence, exact: bool = False) -
     whatever the interpreter's state.  The kernel keeps the float diagonal as
     the float64 array the batched executor multiplies by.
 
-    Admission: the runs form reads the plan's schedule, and the tail reads it
-    when a constant is not finite, so such a float plan meets the executor's
-    whole row rule (see ``stream``) here.  Otherwise only a diagonal index at
-    or past m is caught here; any other row fault raises at the plan's first
-    ``fir_filter`` call.
-
-    Raises ValueError when the tap count does not match the plan, the plan
-    breaks the row rule where it is checked, or an exact-mode tap is inf or
-    NaN, and TypeError when the taps break the input rule.
+    Raises ValueError when the plan breaks the executor's row rule (see
+    ``stream``), the tap count does not match the plan or an exact-mode tap
+    is inf or NaN, and TypeError when the taps break the input rule.
     """
+    plan._admit()
     if len(taps) != plan.m:
         raise ValueError(f"plan is for {plan.m} taps, got {len(taps)}")
     w, scale = _coerce(taps, exact)
     if exact or plan.p < _BATCH_TERMS:
         values, zero = (w, 0) if exact else (w.tolist(), 0.0)
-        try:
-            sums = [_row_sum(term.row, values, zero) for term in plan.diag]
-        except IndexError:
-            plan._schedule  # a diag index past m: raises the row rule's ValueError
-            raise
-        pairs = zip(sums, plan.diag)
+        pairs = zip([_row_sum(term.row, values, zero) for term in plan.diag], plan.diag)
         if exact:
             return PreparedKernel(plan, tuple([v if t.halved else 2 * v for v, t in pairs]), 2 * scale, True)
         total = np.array([v / 2 if t.halved else v for v, t in pairs])
     else:
-        schedule = plan._schedule  # raises if the row rule rejects the plan
+        schedule = plan._schedule
         with np.errstate(over="ignore", invalid="ignore"):
             total = _run_sums(schedule.diag, w, np.zeros(plan.p))
             # A sum from its first term differs from one from +0.0 only

@@ -149,11 +149,12 @@ class KernelPlan:
     Plans are immutable, hashable values, safe to share across threads.  The
     rows are a plan's only stored data: each read of ``a_pre`` or ``a_post``
     builds a fresh read-only int8 matrix from them, which the plan does not
-    keep.  One schedule, the runs of same-shaped rows that the batched
-    executor and the batched diagonal read and the per-product output terms
-    that the product loop folds, is derived on first use from rows that pass
-    the admission rule of ``stream`` and cached outside the fields, so
-    equality, hashing and ``dataclasses.replace`` never see it.
+    keep.  Two values are derived on first use and cached outside the fields,
+    so equality, hashing and ``dataclasses.replace`` never see them: the
+    row rule's verdict (``_row_faults``), and, for a plan the rule admits,
+    one schedule: the runs of same-shaped rows that the batched executor and
+    the batched diagonal read and the per-product output terms that the
+    product loop folds.
     """
 
     m: int
@@ -174,6 +175,35 @@ class KernelPlan:
     @property
     def a_post(self) -> np.ndarray:
         return _dense(self.post_rows, self.p)
+
+    @cached_property
+    def _row_faults(self) -> tuple[str, ...]:
+        # The row rule's verdict, computed once per plan (see ``stream``): at
+        # least one tap and one product, one a_pre row per diagonal term, two
+        # a_post rows, and each row sound.
+        if self.m < 1:
+            return (f"tap count must be >= 1, got {self.m}",)
+        p = len(self.diag)
+        fail = [] if p else ["a plan needs at least one diagonal term"]
+        if len(self.pre_rows) != p:
+            fail.append(f"dimension violation: a_pre shape {(len(self.pre_rows), self.m + 1)}, expected {(p, self.m + 1)}")
+        if len(self.post_rows) != 2:
+            fail.append(f"dimension violation: a_post shape {(len(self.post_rows), p)}, expected {(2, p)}")
+        for name, rows, width in (
+            ("a_pre row", self.pre_rows, self.m + 1),
+            ("a_post row", self.post_rows, p),
+            ("diag term", [term.row for term in self.diag], self.m),
+        ):
+            for k, row in enumerate(rows):
+                fault = _row_fault(row, width)
+                if fault:
+                    fail.append(fault.format(f"{name} {k}"))
+        return tuple(fail)
+
+    def _admit(self) -> None:
+        # The row rule's one raise, before any stage reads the rows.
+        if self._row_faults:
+            raise ValueError(f"plan rows do not fit its matrices: {self._row_faults[0]}")
 
     @cached_property
     def _schedule(self) -> _Schedule:
@@ -206,10 +236,8 @@ class _Schedule(NamedTuple):
 
 
 def _make_schedule(plan: KernelPlan) -> _Schedule:
-    # Linear in the plan; raises the first fault of the admission rule.
-    faults = _row_faults(plan)
-    if faults:
-        raise ValueError(f"plan rows do not fit its matrices: {faults[0]}")
+    # Linear in the plan; raises the row rule's first fault.
+    plan._admit()
     post = tuple((np.array([k for k, _ in row], np.intp),
                   np.array([[v < 0] for _, v in row]) if any(v < 0 for _, v in row) else None)
                  for row in plan.post_rows)
@@ -315,29 +343,6 @@ class ValidationReport:
         return not self.failures
 
 
-def _row_faults(plan: KernelPlan) -> list[str]:
-    # The row rule, what the executor admits: at least one tap and one product,
-    # one a_pre row per diagonal term, two a_post rows, and each row sound.
-    if plan.m < 1:
-        return [f"tap count must be >= 1, got {plan.m}"]
-    p = len(plan.diag)
-    fail = [] if p else ["a plan needs at least one diagonal term"]
-    if len(plan.pre_rows) != p:
-        fail.append(f"dimension violation: a_pre shape {(len(plan.pre_rows), plan.m + 1)}, expected {(p, plan.m + 1)}")
-    if len(plan.post_rows) != 2:
-        fail.append(f"dimension violation: a_post shape {(len(plan.post_rows), p)}, expected {(2, p)}")
-    for name, rows, width in (
-        ("a_pre row", plan.pre_rows, plan.m + 1),
-        ("a_post row", plan.post_rows, p),
-        ("diag term", [term.row for term in plan.diag], plan.m),
-    ):
-        for k, row in enumerate(rows):
-            fault = _row_fault(row, width)
-            if fault:
-                fail.append(fault.format(f"{name} {k}"))
-    return fail
-
-
 def _check_blocks(plan: KernelPlan, fail: list[str]) -> None:
     # What only validate_plan checks: the tiling, the product count the blocks
     # need and the halving forms.  m may come from a document: compare lengths
@@ -405,7 +410,7 @@ def validate_plan(plan: KernelPlan) -> ValidationReport:
     evaluate.  It is proven from the plan's integers, not sampled, and the
     first (output, tap, sample) that differs is reported.
     """
-    failures = _row_faults(plan)
+    failures = list(plan._row_faults)
     if plan.m >= 1:
         _check_blocks(plan, failures)
         if not failures:

@@ -38,17 +38,20 @@ diagonal uses too.  There are two forms, picked by W alone:
 Both forms give the same bits (the batched fold adds -b where the product
 loop subtracts b, the same IEEE result) and the schedule's operation counts.
 
-Admission rule: the executor runs a plan only if it passes the row checks
-that ``validate_plan`` reports first (``plan._row_faults``): m >= 1, at least
-one diagonal term, one ``a_pre`` row per term, two ``a_post`` rows, and in
-every ``a_pre``, ``a_post`` and diagonal row +-1 entries at strictly
-ascending indices inside its matrix.  Building the plan's schedule, at its
-first call, raises ValueError with the first fault, so no row the stages
-would misread (an entry of 2 read as 1, a stored 0 subtracted, a repeated
-index summed twice, index -1 wrapped) gives an output.  Block tiling, the
-halving forms and the correctness identity are left to ``validate_plan``: a
-plan with shared or empty rows runs as its rows say.  ``precompute_diagonal``
-states where it checks the same rule.
+Admission rule: a plan runs only if it passes the row checks that
+``validate_plan`` reports first: m >= 1, at least one diagonal term, one
+``a_pre`` row per term, two ``a_post`` rows, and in every ``a_pre``,
+``a_post`` and diagonal row +-1 entries at strictly ascending indices inside
+its matrix.  A plan computes that verdict once (``plan._row_faults``), and
+every entry point reads it.  ``validate_plan`` reports its faults.
+``precompute_diagonal`` checks it before it sums a row, and ``fir_filter``
+when it builds the plan's schedule, so a kernel built directly is held to it
+too.  Each raises ValueError with the first fault, in every form, in both
+arithmetics and on any taps, so no row the stages would misread (an entry of
+2 read as 1, a stored 0 subtracted, a repeated index summed twice, index -1
+wrapped) gives a constant or an output.  Block tiling, the halving forms and
+the correctness identity are left to ``validate_plan``: a plan with shared or
+empty rows runs as its rows say.
 
 Float contract: float64 arrays, each row summed in ascending column order,
 with a - b where a dense scan forms a + (-b) and b - a where it forms

@@ -27,6 +27,7 @@ from minfilt import (
     DiagonalTerm,
     KernelPlan,
     OpCounter,
+    PreparedKernel,
     apply_basic_op,
     fir_filter,
     generate_plan,
@@ -224,9 +225,10 @@ def test_plan_whose_rows_do_not_fit_raises_in_both_forms():
     # wraps to the last column, a missing diagonal term leaves a product
     # unscaled and an index past its matrix fails inside numpy; a plan with no
     # products gave zeros in one form and IndexError in the other.  Each is one
-    # ValueError, on 3 windows and on _BATCH_WINDOWS or more, float and exact,
-    # whose fault is the one validate_plan reports: the executor and the
-    # validator share one row rule.
+    # ValueError whose fault is the one validate_plan reports: the executor and
+    # the validator share one row rule.  precompute_diagonal raises it in both
+    # arithmetics; a kernel built directly on the bad plan, with the good
+    # plan's constants, raises it on 3 windows and on _BATCH_WINDOWS or more.
     plan = generate_plan(3)
     assert fir_filter(precompute_diagonal(plan, [1, 2, 3]), [1, 2, 3, 4, 5]) == [14.0, 20.0, 26.0]
     pre, post, diag = plan.pre_rows, plan.post_rows, plan.diag
@@ -254,7 +256,11 @@ def test_plan_whose_rows_do_not_fit_raises_in_both_forms():
         calls = [(fir_filter, list(range(1, n + 1))) for n in (5, 2 * _BATCH_WINDOWS + 2)]
         calls.append((apply_basic_op, list(range(1, bad.m + 2))))
         for exact in (False, True):
-            kernel = precompute_diagonal(bad, [1, 2, 3][: bad.m], exact=exact)
+            with pytest.raises(ValueError) as info:
+                precompute_diagonal(bad, [1, 2, 3][: bad.m], exact=exact)
+            assert str(info.value) == prefix + failures[0]
+            good = precompute_diagonal(plan, [1, 2, 3], exact=exact)
+            kernel = PreparedKernel(bad, good.scaled, good.scale, exact)
             for call, samples in calls:
                 with pytest.raises(ValueError, match=re.escape(message)) as info:
                     call(kernel, samples)

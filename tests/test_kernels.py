@@ -20,6 +20,7 @@ import pytest
 
 from minfilt import (
     DiagonalTerm,
+    KernelPlan,
     OpCounter,
     PreparedKernel,
     apply_basic_op,
@@ -60,13 +61,27 @@ def test_diagonal_float_mode():
     assert kernel.s == (2.0, 6.0, 2.0, 6.0)
     # Both forms give kernel.s as a tuple of Python floats.  Only the batched
     # form builds the plan's schedule: the loop form, on plans where building
-    # it costs more than the loop, leaves a fresh plan without one while its
-    # constants are finite.
+    # it costs more than the loop, leaves a fresh plan without one.
     for m in (3, BATCH_M - 1, BATCH_M):
         plan = generate_plan(m)
         kernel = precompute_diagonal(plan, np.arange(m))
         assert type(kernel.s) is tuple and all(type(v) is float for v in kernel.s)
         assert ("_schedule" in vars(plan)) == (m == BATCH_M)
+
+
+def test_row_rule_verdict_is_computed_once_per_plan():
+    # validate_plan computes the plan's row verdict; precompute_diagonal and
+    # fir_filter read the cached one.  The small float diagonal still builds
+    # no schedule; the call builds it.
+    plan = generate_plan(11)
+    verdict = KernelPlan._row_faults
+    with mock.patch.object(verdict, "func", wraps=verdict.func) as spy:
+        assert validate_plan(plan).ok
+        kernel = precompute_diagonal(plan, np.arange(1.0, 12.0))
+        assert "_schedule" not in vars(plan)
+        fir_filter(kernel, np.arange(40.0))
+    assert spy.call_count == 1 and plan._row_faults == ()
+    assert "_schedule" in vars(plan)
 
 
 def test_exact_diagonal_is_integers_over_one_scale():
@@ -445,34 +460,31 @@ def test_batched_nan_constant_is_the_first_nan_of_its_sum():
             assert [bits(v) for v in got] == [bits(v) for v in dense_diagonal(dense, taps, keep_nan=True)]
 
 
-def test_diagonal_index_past_the_taps_raises_the_row_rule_error():
-    # A diag index at or past m is the executor's ValueError, naming the fault
-    # as validate_plan does, in both arithmetics and both diagonal forms.
+def test_diagonal_admits_plans_by_the_row_rule():
+    # Each diag row fault is the row rule's ValueError, naming the fault
+    # validate_plan reports first, in both diagonal forms and both
+    # arithmetics, on finite and non-finite taps.  Summed as written, the
+    # first four would give constants: at m = 3 on taps 1, 2, 3, index -1
+    # wraps to 3.0, an entry of 2 reads as 1.0, a stored 0 subtracts to -1.0
+    # and a repeated index sums to 2.0.
     for m in (3, BATCH_M):
         plan = generate_plan(m)
-        bad = replace(plan, diag=(DiagonalTerm(((m, 1),), False),) + plan.diag[1:])
-        fault = f"dimension violation: diag term 0 has an index outside [0, {m})"
-        assert fault in validate_plan(bad).failures
-        for exact in (False, True):
-            with pytest.raises(ValueError) as info:
-                precompute_diagonal(bad, list(range(1, m + 1)), exact=exact)
-            assert str(info.value) == "plan rows do not fit its matrices: " + fault
-
-
-def test_non_finite_constant_admits_a_small_plan_by_the_row_rule():
-    # A small float plan sums its constants without the schedule, so index -1
-    # wraps to the last tap unseen while every constant is finite.  A
-    # non-finite constant sends the diagonal through the float tail, which
-    # reads the schedule and so raises the row rule's ValueError, as a wide
-    # plan does on any taps.
-    plan = generate_plan(3)
-    bad = replace(plan, diag=(DiagonalTerm(((-1, 1),), False),) + plan.diag[1:])
-    assert plan.p < _BATCH_TERMS
-    fault = validate_plan(bad).failures[0]
-    assert fault == "dimension violation: diag term 0 has an index outside [0, 3)"
-    with pytest.raises(ValueError) as info:
-        precompute_diagonal(bad, [math.inf, 1.0, 1.0])
-    assert str(info.value) == "plan rows do not fit its matrices: " + fault
+        faults = [
+            (((-1, 1),), f"dimension violation: diag term 0 has an index outside [0, {m})"),
+            (((m, 1),), f"dimension violation: diag term 0 has an index outside [0, {m})"),
+            (((0, 2),), "ternary-entry violation: diag term 0 has an entry outside {-1, 0, +1}"),
+            (((0, 1), (1, 0)), "sparse-row violation: diag term 0 stores a zero entry"),
+            (((0, 1), (0, 1)), "sparse-row violation: diag term 0 indices do not strictly ascend"),
+        ]
+        draws = [list(range(1, m + 1)), [math.inf] + [1.0] * (m - 1), [1.0] * (m - 1) + [math.nan]]
+        for row, fault in faults:
+            bad = replace(plan, diag=(DiagonalTerm(row, False),) + plan.diag[1:])
+            assert validate_plan(bad).failures[0] == fault
+            for taps in draws:
+                for exact in (False, True):
+                    with pytest.raises(ValueError) as info:
+                        precompute_diagonal(bad, taps, exact=exact)
+                    assert str(info.value) == "plan rows do not fit its matrices: " + fault
 
 
 def test_halved_overflow_retry_is_linear_in_the_plan():
