@@ -460,6 +460,34 @@ def test_batched_nan_constant_is_the_first_nan_of_its_sum():
             assert [bits(v) for v in got] == [bits(v) for v in dense_diagonal(dense, taps, keep_nan=True)]
 
 
+def test_diagonal_index_past_the_taps_raises_the_row_rule_error():
+    # A diag index at or past m is the executor's ValueError, naming the fault
+    # as validate_plan does, in both arithmetics and both diagonal forms.
+    for m in (3, BATCH_M):
+        plan = generate_plan(m)
+        bad = replace(plan, diag=(DiagonalTerm(((m, 1),), False),) + plan.diag[1:])
+        fault = f"dimension violation: diag term 0 has an index outside [0, {m})"
+        assert fault in validate_plan(bad).failures
+        for exact in (False, True):
+            with pytest.raises(ValueError) as info:
+                precompute_diagonal(bad, list(range(1, m + 1)), exact=exact)
+            assert str(info.value) == "plan rows do not fit its matrices: " + fault
+
+
+def test_non_finite_constant_admits_a_small_plan_by_the_row_rule():
+    # A small float plan with a non-finite constant goes through the float
+    # tail; it raises the row rule's ValueError for index -1 rather than
+    # wrapping to the last tap, as it does on finite taps and a wide plan does.
+    plan = generate_plan(3)
+    bad = replace(plan, diag=(DiagonalTerm(((-1, 1),), False),) + plan.diag[1:])
+    assert plan.p < _BATCH_TERMS
+    fault = validate_plan(bad).failures[0]
+    assert fault == "dimension violation: diag term 0 has an index outside [0, 3)"
+    with pytest.raises(ValueError) as info:
+        precompute_diagonal(bad, [math.inf, 1.0, 1.0])
+    assert str(info.value) == "plan rows do not fit its matrices: " + fault
+
+
 def test_diagonal_admits_plans_by_the_row_rule():
     # Each diag row fault is the row rule's ValueError, naming the fault
     # validate_plan reports first, in both diagonal forms and both
