@@ -179,20 +179,17 @@ _BATCH_TERMS = 112
 
 def _run_sums(runs, columns: np.ndarray, out: np.ndarray) -> np.ndarray:
     # The signed sums of runs into the rows of `out` they slice, each from its
-    # first term in ascending column order, a - entry subtracted; a run with
-    # no terms sums to zero and rows in no run keep what `out` holds.  A run
-    # is a (rows, terms) pair and a term a (columns, sign) pair, indexing axis
-    # 0: the runs of a schedule (``plan._runs``) slice one value per row (the
-    # diagonal) or one window per column (the executor's a_pre stage), and
-    # ``(..., row)`` sums one sparse row into all of `out`, column by column.
+    # first term in ascending column order, a - entry subtracted.  A run is a
+    # (rows, terms) pair and a term a (columns, sign) pair, indexing axis
+    # 0: the runs of a schedule (``plan._runs``) write each row of `out` once,
+    # one value per row (the diagonal) or one window per column (the
+    # executor's a_pre stage), so `out` may start empty, and ``(..., row)``
+    # sums one sparse row into all of `out`, column by column.
     # The first two terms make one ufunc call, -a + b as b - a, the same IEEE
     # result; -a - b negates first, as -(a + b) differs on signed zeros.  A
     # lone first term is copied, so every sum is an array of its own.
     for rows, terms in runs:
         run = out[rows]
-        if not terms:
-            run[...] = 0
-            continue
         a, sign = terms[0]
         if len(terms) > 1 and (sign > 0 or terms[1][1] > 0):
             b, second = terms[1]
@@ -278,7 +275,7 @@ def precompute_diagonal(plan: KernelPlan, taps: Sequence, exact: bool = False) -
     else:
         schedule = plan._schedule
         with np.errstate(over="ignore", invalid="ignore"):
-            total = _run_sums(schedule.diag, w, np.zeros(plan.p))
+            total = _run_sums(schedule.diag, w, np.empty(plan.p))
             # A sum from its first term differs from one from +0.0 only
             # where it is -0.0 (or NaN, which the tail sums again).
             total += 0.0

@@ -223,8 +223,8 @@ class _Schedule(NamedTuple):
     # ones, or None when there are none.  ``fold`` is the same a_post rows
     # read per product, for the product-by-product form: the (output row,
     # sign) of each term on that product, in ascending row order.  ``growth``
-    # is G = max(1, longest a_post row) * max(1, longest a_pre row): no
-    # pre-sum, product or partial output sum exceeds G * max|s| * max|x|.
+    # is G = longest a_post row * longest a_pre row: no pre-sum, product or
+    # partial output sum exceeds G * max|s| * max|x|.
     pre: _Runs
     diag: _Runs
     halved: np.ndarray
@@ -245,28 +245,28 @@ def _make_schedule(plan: KernelPlan) -> _Schedule:
     for r, row in enumerate(plan.post_rows):
         for k, v in row:
             fold[k] += ((r, v),)
-    adds = [sum(len(row) - 1 for row in rows if row) for rows in (plan.pre_rows, plan.post_rows)]
-    longest = [max([1, *map(len, rows)]) for rows in (plan.pre_rows, plan.post_rows)]
+    adds = [sum(len(row) - 1 for row in rows) for rows in (plan.pre_rows, plan.post_rows)]
+    longest = [max(map(len, rows)) for rows in (plan.pre_rows, plan.post_rows)]
     return _Schedule(_runs(plan.pre_rows), _runs([term.row for term in plan.diag]),
                      np.array([term.halved for term in plan.diag]), post,
                      tuple(fold), *adds, longest[0] * longest[1])
 
 
 def _runs(rows) -> _Runs:
-    # The nonempty rows as runs of one shape whose row index and first column
-    # both step evenly: a run's row slice picks its sums and each term's column
-    # slice the columns it adds (sign +1) or subtracts (-1) there.  Rows are grouped
-    # by shape (each index relative to the row's first) and by the distance to
-    # the previous row of that shape, which keeps apart runs that interleave,
-    # as a template's two rows of one shape do; each group splits greedily.
+    # The rows as runs of one shape whose row index and first column both step
+    # evenly, each row in exactly one run: a run's row slice picks its sums and
+    # each term's column slice the columns it adds (sign +1) or subtracts (-1)
+    # there.  Rows are grouped by shape (each index relative to the row's first)
+    # and by the distance to the previous row of that shape, which keeps apart
+    # runs that interleave, as a template's two rows of one shape do; each group
+    # splits greedily.
     groups: dict = {}
     last: dict = {}
     for k, row in enumerate(rows):
-        if row:
-            c = row[0][0]
-            shape = tuple([(j - c, v) for j, v in row])
-            groups.setdefault((shape, k - last.get(shape, k)), []).append((k, c))
-            last[shape] = k
+        c = row[0][0]
+        shape = tuple([(j - c, v) for j, v in row])
+        groups.setdefault((shape, k - last.get(shape, k)), []).append((k, c))
+        last[shape] = k
     runs = []
     for (shape, _), points in groups.items():
         i = 0
@@ -359,8 +359,11 @@ def _check_blocks(plan: KernelPlan, fail: list[str]) -> None:
 
 
 def _row_fault(row: _Row, width: int) -> str | None:
-    # First departure from +-1 entries at strictly ascending indices in [0, width), as a
-    # template for the row's label: executors subtract any entry not +1, views index by j.
+    # An empty row, or the first departure from +-1 entries at strictly ascending indices
+    # in [0, width), as a template for the row's label: executors start each row from its
+    # first term, subtract any entry not +1 and index views by j.
+    if not row:
+        return "sparse-row violation: {} is empty"
     last = -1
     for j, v in row:
         if abs(v) > 1:

@@ -40,18 +40,19 @@ loop subtracts b, the same IEEE result) and the schedule's operation counts.
 
 Admission rule: a plan runs only if it passes the row checks that
 ``validate_plan`` reports first: m >= 1, at least one diagonal term, one
-``a_pre`` row per term, two ``a_post`` rows, and in every ``a_pre``,
-``a_post`` and diagonal row +-1 entries at strictly ascending indices inside
-its matrix.  A plan computes that verdict once (``plan._row_faults``), and
-every entry point reads it.  ``validate_plan`` reports its faults.
-``precompute_diagonal`` checks it before it sums a row, and ``fir_filter``
-when it builds the plan's schedule, so a kernel built directly is held to it
-too.  Each raises ValueError with the first fault, in every form, in both
-arithmetics and on any taps, so no row the stages would misread (an entry of
-2 read as 1, a stored 0 subtracted, a repeated index summed twice, index -1
-wrapped) gives a constant or an output.  Block tiling, the halving forms and
-the correctness identity are left to ``validate_plan``: a plan with shared or
-empty rows runs as its rows say.
+``a_pre`` row per term, two ``a_post`` rows, and every ``a_pre``, ``a_post``
+and diagonal row has at least one entry, each +-1, at strictly ascending
+indices inside its matrix.  So every product has a pre-sum and a constant
+and every output an adder, and no stage handles an empty row.  A plan
+computes that verdict once (``plan._row_faults``), and every entry point
+reads it.  ``validate_plan`` reports its faults.  ``precompute_diagonal``
+checks it before it sums a row, and ``fir_filter`` when it builds the
+plan's schedule, so a kernel built directly is held to it too.  Each raises
+ValueError with the first fault, in every form, in both arithmetics and on
+any taps, so no row the stages would misread (an entry of 2 read as 1, a
+stored 0 subtracted, a repeated index summed twice, index -1 wrapped) gives
+a constant or an output.  Block tiling, the halving forms and the
+correctness identity are left to ``validate_plan``.
 
 Float contract: float64 arrays, each row summed in ascending column order,
 with a - b where a dense scan forms a + (-b) and b - a where it forms
@@ -69,8 +70,8 @@ stages run on int64 arrays when no value they make can overflow, and on
 ``object`` arrays of Python ``int`` otherwise.  The bound is read from the
 plan's rows: a pre-sum adds at most the longest ``a_pre`` row's count of
 samples, and an output's partial sum at most the longest ``a_post`` row's
-count of products, so with G the product of those two lengths (each at
-least 1) every input, pre-sum, product and partial sum lies within
+count of products, so with G the product of those two lengths every input,
+pre-sum, product and partial sum lies within
 G * max(1, max|S|) * max(1, max|X|) of zero, on the scaled integers X.
 int64 runs when that is at most 2**63 - 1; the dtype is the only difference,
 so both forms run one body in all three dtypes.  Each output is one
@@ -95,19 +96,15 @@ __all__ = ["fir_filter", "apply_basic_op"]
 _BATCH_WINDOWS = 256
 
 
-def _batched(schedule, kernel: PreparedKernel, columns: np.ndarray) -> tuple[list, np.ndarray]:
+def _batched(schedule, kernel: PreparedKernel, columns: np.ndarray) -> list:
     # The three stages over all rows at once, from the plan's schedule, in the
     # dtype of `columns` (row j is sample j of every window): per row and
-    # window the values of the product loop.  Returns the two output rows and
-    # the (P, W) products.
+    # window the values of the product loop.  Returns the two output rows.
     windows = columns.shape[1]
-    t = _run_sums(schedule.pre, columns, np.zeros((kernel.plan.p, windows), columns.dtype))
+    t = _run_sums(schedule.pre, columns, np.empty((kernel.plan.p, windows), columns.dtype))
     t *= kernel._array[:, None]
     ys = []
     for products, negative in schedule.post:
-        if not len(products):
-            ys.append(np.zeros(windows, columns.dtype))
-            continue
         terms = t.take(products, 0)
         if negative is not None:
             np.negative(terms, terms, where=negative)
@@ -119,7 +116,7 @@ def _batched(schedule, kernel: PreparedKernel, columns: np.ndarray) -> tuple[lis
             ys.append(np.add.accumulate(terms)[-1])
         else:
             ys.append(np.add.reduce(terms, 0, initial=None))
-    return ys, t
+    return ys
 
 
 def fir_filter(kernel: PreparedKernel, signal: Sequence,
@@ -157,9 +154,7 @@ def fir_filter(kernel: PreparedKernel, signal: Sequence,
     columns = np.ndarray((m + 1, windows), dtype, padded, 0, (step, 2 * step))
     with np.errstate(over="ignore", invalid="ignore"):
         if windows < _BATCH_WINDOWS:
-            # `_` keeps the (P, W) products until the list is built: freed
-            # earlier, they can let malloc trim a heap top the next call faults in.
-            ys, _ = _batched(schedule, kernel, columns)
+            ys = _batched(schedule, kernel, columns)
         else:
             ys = [None, None]
             for row, sk, uses in zip(plan.pre_rows, kernel.scaled, schedule.fold):
@@ -177,9 +172,6 @@ def fir_filter(kernel: PreparedKernel, signal: Sequence,
                     else:  # the row starts with t itself, or a copy if row 0 took it
                         ys[r] = +t if t is ys[0] else t
                 del t  # unless a row took it, freed for the next sum to reuse
-            for r in 0, 1:  # a row with no terms
-                if ys[r] is None:
-                    ys[r] = np.zeros(windows, dtype)
     if counter is not None:
         counter.pre_adds += schedule.pre_adds * windows
         counter.mults += plan.p * windows

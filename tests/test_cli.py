@@ -98,16 +98,20 @@ def test_verify_flags_identity_breaking_plan(tmp_path, capsys):
 
 def test_verify_flags_nonternary_plan(tmp_path, capsys):
     # An entry of 2 in the first a_pre row, then in the first diagonal's
-    # coeffs, as the CI step's sed edits make them.
+    # coeffs, then the first a_pre row zeroed, as the CI step's sed edits
+    # make them.  The zeroed row loads as an empty row, which the row rule
+    # rejects before the identity is checked.
     target = tmp_path / "p.json"
     run(capsys, "plan", "-m", "3", "-o", str(target))
     text = target.read_text()
-    for old, new in (('"a_pre":[[1,', '"a_pre":[[2,'), ('"coeffs":[1,', '"coeffs":[2,')):
+    for old, new, fault in (('"a_pre":[[1,', '"a_pre":[[2,', "ternary"),
+                            ('"coeffs":[1,', '"coeffs":[2,', "ternary"),
+                            ('"a_pre":[[1,0,-1,0]', '"a_pre":[[0,0,0,0]', "a_pre row 0 is empty")):
         assert old in text
         target.write_text(text.replace(old, new, 1))
         code, out, _ = run(capsys, "verify", "--plan-file", str(target), "--trials", "5")
         assert code == 1
-        assert "ternary" in out and out.strip().splitlines()[-1] == "verify: FAIL"
+        assert fault in out and out.strip().splitlines()[-1] == "verify: FAIL"
 
 
 def test_verify_runs_the_shipped_executor(monkeypatch, capsys):

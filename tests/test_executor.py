@@ -93,42 +93,44 @@ def test_nonfinite_contract():
 
 
 def test_hand_built_plan_with_shared_and_empty_rows():
-    # Two products read the same lone sample and one a_pre row is empty:
-    # the executor must neither scale one shared array twice nor fail.  In
-    # both arithmetics an empty row is that arithmetic's zero; an empty
-    # a_post row shows it directly, so exact mode must give Fraction(0).
+    # Two products read the same lone sample: the executor must not scale one
+    # shared array twice.  An empty a_pre row and an empty a_post row break
+    # the row rule: a product with no pre-sum, an output with no adder.  Each
+    # raises the rule's ValueError in both arithmetics.
     base = generate_plan(1)
     plan = KernelPlan(
         m=1,
         blocks=base.blocks,
-        pre_rows=(((0, 1),), ((0, 1),), ()),
-        post_rows=(((0, 1), (2, 1)), ((1, 1), (2, 1))),
-        diag=(DiagonalTerm(((0, 1),), False),) * 3,
+        pre_rows=(((0, 1),), ((0, 1),)),
+        post_rows=(((0, 1),), ((1, 1),)),
+        diag=(DiagonalTerm(((0, 1),), False),) * 2,
     )
-    assert plan.a_pre.tolist() == [[1, 0], [1, 0], [0, 0]]
-    assert plan.a_post.tolist() == [[1, 0, 1], [0, 1, 1]]
-    no_y1 = replace(plan, post_rows=(((0, 1), (2, 1)), ()))
+    assert plan.a_pre.tolist() == [[1, 0], [1, 0]]
+    assert plan.a_post.tolist() == [[1, 0], [0, 1]]
+    empty_pre = replace(plan, pre_rows=plan.pre_rows + ((),), diag=plan.diag + plan.diag[:1])
+    no_y1 = replace(plan, post_rows=(((0, 1),), ()))
     signal = [1.0, 2.0, -0.5, 4.0, 8.0]
+    prefix = "plan rows do not fit its matrices: "
     for exact, kind in ((False, float), (True, Fraction)):
         kernel = precompute_diagonal(plan, [3.0], exact=exact)
         got = fir_filter(kernel, signal)
         assert got == per_window(kernel, signal) == [3.0, 3.0, -1.5, -1.5, 24.0]
         assert all(type(v) is kind for v in got)
 
-        kernel = precompute_diagonal(no_y1, [3.0], exact=exact)
-        got = fir_filter(kernel, signal)
-        assert got == per_window(kernel, signal) == [3.0, 0, -1.5, 0, 24.0]
-        assert all(type(v) is kind for v in got)
+        for bad, label in ((empty_pre, "a_pre row 2"), (no_y1, "a_post row 1")):
+            with pytest.raises(ValueError) as info:
+                precompute_diagonal(bad, [3.0], exact=exact)
+            assert str(info.value) == prefix + f"sparse-row violation: {label} is empty"
 
-    # A lone negative pre term, a post row that starts with the empty
-    # product negated, and pre rows that start (-,+), (+,-) and (-,-), which
-    # the pre stage starts in one operation each: -a + b as b - a, the same
-    # IEEE result, while -a - b must not become -(a + b).  With a negative tap
-    # the empty product is -0.0 and -mu_2 +0.0; with a positive one -mu_2 is
-    # -0.0, so y1 = -mu_2 + mu_5 shows the sign of a zero mu_5, which differs
-    # from -(a + b) for a = +-0.0, b = -+0.0.  Both forms, on 3 windows and on
-    # _BATCH_WINDOWS, bit-equal to the dense scan and counted per row.
-    lone = replace(plan, pre_rows=(((0, 1),), ((1, -1),), (), ((0, -1), (1, 1)), ((0, 1), (1, -1)),
+    # A lone negative pre term, a post row that starts with a product
+    # negated, and pre rows that start (-,+), (+,-) and (-,-), which the pre
+    # stage starts in one operation each: -a + b as b - a, the same IEEE
+    # result, while -a - b must not become -(a + b).  The signal's +-0.0
+    # samples make signed zero products, so y1 = -mu_2 + mu_5 shows the sign
+    # of a zero mu_5, which differs from -(a + b) for a = +-0.0, b = -+0.0.
+    # Both forms, on 3 windows and on _BATCH_WINDOWS, bit-equal to the dense
+    # scan and counted per row.
+    lone = replace(plan, pre_rows=(((0, 1),), ((1, -1),), ((1, 1),), ((0, -1), (1, 1)), ((0, 1), (1, -1)),
                                    ((0, -1), (1, -1))),
                    post_rows=(((0, 1), (1, 1), (2, 1), (3, 1), (4, 1)), ((2, -1), (5, 1))),
                    diag=(DiagonalTerm(((0, 1),), False),) * 6)
@@ -223,12 +225,14 @@ def test_plan_whose_rows_do_not_fit_raises_in_both_forms():
     # breaks one row rule: read as the stages read it, an entry of 2 counts as
     # 1, a stored 0 is subtracted, a repeated index is summed twice, index -1
     # wraps to the last column, a missing diagonal term leaves a product
-    # unscaled and an index past its matrix fails inside numpy; a plan with no
-    # products gave zeros in one form and IndexError in the other.  Each is one
-    # ValueError whose fault is the one validate_plan reports: the executor and
-    # the validator share one row rule.  precompute_diagonal raises it in both
-    # arithmetics; a kernel built directly on the bad plan, with the good
-    # plan's constants, raises it on 3 windows and on _BATCH_WINDOWS or more.
+    # unscaled, an empty row sums to zero (an empty first a_pre row gave 16,
+    # 20, 28, 32 on samples 1..6) and an index past its matrix fails inside
+    # numpy; a plan with no products gave zeros in one form and IndexError in
+    # the other.  Each is one ValueError whose fault is the one validate_plan
+    # reports: the executor and the validator share one row rule.
+    # precompute_diagonal raises it in both arithmetics; a kernel built
+    # directly on the bad plan, with the good plan's constants, raises it on 3
+    # windows and on _BATCH_WINDOWS or more.
     plan = generate_plan(3)
     assert fir_filter(precompute_diagonal(plan, [1, 2, 3]), [1, 2, 3, 4, 5]) == [14.0, 20.0, 26.0]
     pre, post, diag = plan.pre_rows, plan.post_rows, plan.diag
@@ -247,6 +251,9 @@ def test_plan_whose_rows_do_not_fit_raises_in_both_forms():
         (replace(plan, post_rows=(((0, 2),) + post[0][1:], post[1])), "a_post row 0 has an entry outside"),
         (replace(plan, diag=(DiagonalTerm(((0, 2),), False),) + diag[1:]), "diag term 0 has an entry outside"),
         (replace(plan, diag=(DiagonalTerm(((-1, 1),), False),) + diag[1:]), "diag term 0 has an index"),
+        (first_pre(()), "sparse-row violation: a_pre row 0 is empty"),
+        (replace(plan, post_rows=(post[0], ())), "sparse-row violation: a_post row 1 is empty"),
+        (replace(plan, diag=(DiagonalTerm((), False),) + diag[1:]), "sparse-row violation: diag term 0 is empty"),
         (replace(generate_plan(1), pre_rows=(), post_rows=((), ()), diag=()),
          "a plan needs at least one diagonal term"),
     ]

@@ -336,14 +336,15 @@ def test_halved_overflow_at_m1024_matches_dense_recipe():
 
 
 def test_batched_diagonal_on_a_hand_built_plan():
-    # Above _BATCH_TERMS, with an empty diag row, a halved row of five terms
-    # (a run of its own, summed term by term like every run) and a lone
-    # negative term: the bits of the dense recipe on special, normal and
-    # overflowing taps.  The kernel equals, hashes and prints as one built
-    # from its constants, and keeps them as a read-only array for the executor.
+    # Above _BATCH_TERMS, with a plain and a halved one-term row, a halved
+    # row of five terms (a run of its own, summed term by term like every
+    # run) and a lone negative term: the bits of the dense recipe on special,
+    # normal and overflowing taps.  The kernel equals, hashes and prints as
+    # one built from its constants, and keeps them as a read-only array for
+    # the executor.
     plan = generate_plan(BATCH_M)
-    odd = (DiagonalTerm((), False), DiagonalTerm(((0, 1), (2, -1), (5, 1), (7, -1), (9, 1)), True),
-           DiagonalTerm(((3, -1),), False), DiagonalTerm((), True))
+    odd = (DiagonalTerm(((4, 1),), False), DiagonalTerm(((0, 1), (2, -1), (5, 1), (7, -1), (9, 1)), True),
+           DiagonalTerm(((3, -1),), False), DiagonalTerm(((BATCH_M - 1, 1),), True))
     plan = replace(plan, diag=odd + plan.diag[len(odd):])
     assert plan.p >= _BATCH_TERMS and not validate_plan(plan).ok
     dense = json.loads(plan_to_json(plan))["diag"]
@@ -491,10 +492,10 @@ def test_non_finite_constant_admits_a_small_plan_by_the_row_rule():
 def test_diagonal_admits_plans_by_the_row_rule():
     # Each diag row fault is the row rule's ValueError, naming the fault
     # validate_plan reports first, in both diagonal forms and both
-    # arithmetics, on finite and non-finite taps.  Summed as written, the
-    # first four would give constants: at m = 3 on taps 1, 2, 3, index -1
-    # wraps to 3.0, an entry of 2 reads as 1.0, a stored 0 subtracts to -1.0
-    # and a repeated index sums to 2.0.
+    # arithmetics, on finite and non-finite taps.  Summed as written, all but
+    # the second would give constants: at m = 3 on taps 1, 2, 3, index -1
+    # wraps to 3.0, an entry of 2 reads as 1.0, a stored 0 subtracts to -1.0,
+    # a repeated index sums to 2.0 and an empty row sums to 0.0.
     for m in (3, BATCH_M):
         plan = generate_plan(m)
         faults = [
@@ -503,6 +504,7 @@ def test_diagonal_admits_plans_by_the_row_rule():
             (((0, 2),), "ternary-entry violation: diag term 0 has an entry outside {-1, 0, +1}"),
             (((0, 1), (1, 0)), "sparse-row violation: diag term 0 stores a zero entry"),
             (((0, 1), (0, 1)), "sparse-row violation: diag term 0 indices do not strictly ascend"),
+            ((), "sparse-row violation: diag term 0 is empty"),
         ]
         draws = [list(range(1, m + 1)), [math.inf] + [1.0] * (m - 1), [1.0] * (m - 1) + [math.nan]]
         for row, fault in faults:

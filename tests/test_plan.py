@@ -207,10 +207,12 @@ def test_validate_flags_bad_shape():
     assert any("dimension" in msg for msg in report.failures)
 
     # Too few or too many rows are reported as the dense shape; nothing raises.
-    for rows in (plan.pre_rows[:1], (), plan.pre_rows + ((),)):
+    # An extra empty row is also reported as empty.
+    for rows, extra in ((plan.pre_rows[:1], []), ((), []),
+                        (plan.pre_rows + ((),), ["sparse-row violation: a_pre row 4 is empty"])):
         report = validate_plan(replace(plan, pre_rows=rows))
         assert report.failures == [
-            f"dimension violation: a_pre shape {(len(rows), 4)}, expected (4, 4)"
+            f"dimension violation: a_pre shape {(len(rows), 4)}, expected (4, 4)", *extra
         ]
 
     # Every index lies inside its dense matrix: samples < m+1, products < p,
