@@ -17,6 +17,11 @@ adder, and multi-block plans combine one partial per block in two fan-in-B
 adders (B = block count).  The block shapes in ``_FUSED_OUTPUT`` instead sum
 every product of an output in one adder: WINO3 + PAIR2 has two 5-input
 adders, which is how the published 5-tap dataflow draws it.
+
+So ``count_proposed`` counts only a plan whose rows are its blocks'
+templates stamped at their offsets, as in every generated plan and its JSON
+document; on any other plan it raises ValueError, since the templates would
+not describe the additions its rows run.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
-from .plan import KernelPlan, decompose
+from .plan import KernelPlan, _stamp, decompose
 
 __all__ = ["OpCount", "SavingsRow", "count_naive", "count_proposed", "savings_report"]
 
@@ -60,7 +65,13 @@ def count_naive(m: int) -> OpCount:
 
 
 def count_proposed(plan: KernelPlan) -> OpCount:
-    """Adder histogram and multiplier count of the factorized dataflow."""
+    """Adder histogram and multiplier count of the factorized dataflow.
+
+    Raises ValueError unless the plan's rows are exactly its blocks'
+    templates stamped at their offsets, as ``generate_plan`` builds them.
+    """
+    if plan != _stamp(plan.m, plan.blocks):
+        raise ValueError("count_proposed: the plan's rows are not its blocks' templates at their offsets")
     templates = [b.template for b in plan.blocks]
     fan_ins = [len(row) for t in templates for row in t.a_pre]
     if tuple(sorted(b.kind.value for b in plan.blocks)) in _FUSED_OUTPUT:

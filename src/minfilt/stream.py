@@ -51,8 +51,8 @@ plan's schedule, so a kernel built directly is held to it too.  Each raises
 ValueError with the first fault, in every form, in both arithmetics and on
 any taps, so no row the stages would misread (an entry of 2 read as 1, a
 stored 0 subtracted, a repeated index summed twice, index -1 wrapped) gives
-a constant or an output.  Block tiling, the halving forms and the
-correctness identity are left to ``validate_plan``.
+a constant or an output.  The correctness identity is left to
+``validate_plan``; no stage reads ``blocks``.
 
 Float contract: float64 arrays, each row summed in ascending column order,
 with a - b where a dense scan forms a + (-b) and b - a where it forms

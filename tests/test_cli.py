@@ -114,6 +114,20 @@ def test_verify_flags_nonternary_plan(tmp_path, capsys):
         assert fault in out and out.strip().splitlines()[-1] == "verify: FAIL"
 
 
+def test_verify_passes_a_plan_whose_blocks_misname_its_rows(tmp_path, capsys):
+    # The CI step's sed edit renames the m = 4 plan's PASS1@3 block to PAIR2@3
+    # and leaves the rows untouched.  verify proves and runs the rows, which
+    # are still exact; the blocks matter only to count_proposed.
+    target = tmp_path / "p.json"
+    run(capsys, "plan", "-m", "4", "-o", str(target))
+    text = target.read_text()
+    assert text.count('"kind":"pass1"') == 1
+    target.write_text(text.replace('"kind":"pass1"', '"kind":"pair2"'))
+    code, out, _ = run(capsys, "verify", "--plan-file", str(target), "--trials", "5")
+    assert code == 0
+    assert "exact: PASS" in out and out.strip().splitlines()[-1] == "verify: PASS"
+
+
 def test_verify_runs_the_shipped_executor(monkeypatch, capsys):
     # A valid plan with a faulty fir_filter must fail in both modes: one
     # wrong output is one failing window.  The float bound scales with the

@@ -1,9 +1,15 @@
 """Hardware-style multiplier and adder counting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from minfilt import (
+    Block,
+    BlockKind,
+    DiagonalTerm,
+    KernelPlan,
     OpCounter,
     apply_basic_op,
     apply_basic_op_naive,
@@ -11,9 +17,14 @@ from minfilt import (
     count_proposed,
     fir_filter,
     generate_plan,
+    naive_fir,
+    plan_from_json,
+    plan_to_json,
     precompute_diagonal,
     savings_report,
+    validate_plan,
 )
+from minfilt.plan import _stamp
 
 
 def test_naive_counts():
@@ -55,6 +66,44 @@ def test_proposed_multipliers_equal_plan_products():
     for m in range(1, 33):
         plan = generate_plan(m)
         assert count_proposed(plan).multipliers == plan.p
+
+
+def test_proposed_counts_loaded_plans_as_generated():
+    for m in range(1, 65):
+        plan = generate_plan(m)
+        assert count_proposed(plan_from_json(plan_to_json(plan))) == count_proposed(plan)
+
+
+def _exact_output_is_direct(plan):
+    rng = np.random.default_rng(plan.m)
+    w = rng.integers(-1000, 1001, size=plan.m).tolist()
+    x = rng.integers(-1000, 1001, size=plan.m + 9).tolist()
+    return fir_filter(precompute_diagonal(plan, w, exact=True), x) == naive_fir(x, w, exact=True)
+
+
+def test_proposed_rejects_blocks_that_misname_the_rows():
+    # Rows of PAIR2@0 + PAIR2@2 under the blocks WINO3@0 + PASS1@3: the rows
+    # are exact and run, but the named templates' two 3-input adders are not
+    # in their dataflow, whose own templates give ten 2-input adders.
+    rows = _stamp(4, (Block(BlockKind.PAIR2, 0), Block(BlockKind.PAIR2, 2)))
+    plan = replace(rows, blocks=generate_plan(4).blocks)
+    assert validate_plan(plan).ok
+    assert _exact_output_is_direct(plan)
+    with pytest.raises(ValueError, match="templates"):
+        count_proposed(plan)
+    assert dict(count_proposed(rows).adders) == {2: 10}
+
+
+def test_proposed_rejects_extra_products_on_one_block():
+    # One tap, three products: w0/2 * x0 twice and w0 * x1.  Correct, but not
+    # the two products of the PASS1 block it names.
+    half, whole = DiagonalTerm(((0, 1),), True), DiagonalTerm(((0, 1),), False)
+    plan = KernelPlan(1, (Block(BlockKind.PASS1, 0),), (((0, 1),), ((0, 1),), ((1, 1),)),
+                      (((0, 1), (1, 1)), ((2, 1),)), (half, half, whole))
+    assert validate_plan(plan).ok
+    assert _exact_output_is_direct(plan)
+    with pytest.raises(ValueError, match="templates"):
+        count_proposed(plan)
 
 
 def test_adder_capacity_matches_instrumented_additions():

@@ -25,6 +25,7 @@ from minfilt import (
     PreparedKernel,
     apply_basic_op,
     apply_basic_op_naive,
+    count_proposed,
     fir_filter,
     generate_plan,
     is_dyadic,
@@ -404,6 +405,9 @@ def test_runs_that_must_split_keep_the_dense_scan_bits():
                        post_rows=tuple(tuple((p - 1 - k, v) for k, v in reversed(row))
                                        for row in plan.post_rows))
         assert validate_plan(plan).ok
+        # Its rows are no longer its blocks' templates, so it is not counted.
+        with pytest.raises(ValueError, match="templates"):
+            count_proposed(plan)
         assert len(plan._schedule.pre) == len(plan._schedule.diag) == p
         doc = json.loads(plan_to_json(plan))
         for values in (SPECIAL_TAPS, finite):

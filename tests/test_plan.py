@@ -11,6 +11,7 @@ from minfilt import (
     Block,
     BlockKind,
     DiagonalTerm,
+    count_proposed,
     decompose,
     generate_plan,
     plan_from_json,
@@ -238,20 +239,35 @@ def test_validate_flags_identity_violation():
 
 
 def test_validate_flags_bad_halving():
+    # A halved term the identity cannot prove is an identity violation, and
+    # rows that are not the blocks' templates are not counted.
     plan = generate_plan(3)
     terms = list(plan.diag)
     terms[0] = DiagonalTerm(terms[0].row, True)
-    report = validate_plan(replace(plan, diag=tuple(terms)))
-    assert not report.ok
-    assert any("halved" in msg for msg in report.failures)
+    bad = replace(plan, diag=tuple(terms))
+    assert validate_plan(bad).failures == [
+        "correctness-identity violation: y0 has coefficient 0.5 on w[0]*x[0], expected 1"
+    ]
+    with pytest.raises(ValueError, match="templates"):
+        count_proposed(bad)
 
 
 def test_validate_flags_overlapping_blocks():
+    # validate_plan proves the rows, which are still correct; the blocks only
+    # name the templates that count_proposed counts, and these do not match.
     plan = generate_plan(5)
-    bad = (Block(BlockKind.WINO3, 0), Block(BlockKind.PAIR2, 2))
-    report = validate_plan(replace(plan, blocks=bad))
-    assert not report.ok
-    assert any("tile" in msg for msg in report.failures)
+    bad = replace(plan, blocks=(Block(BlockKind.WINO3, 0), Block(BlockKind.PAIR2, 2)))
+    assert validate_plan(bad).ok
+    with pytest.raises(ValueError, match="templates"):
+        count_proposed(bad)
+
+
+def test_validate_bounds_the_tap_range_by_the_plan():
+    # Eight tap terms cannot carry 10**15 taps: reported before range(m).
+    report = validate_plan(replace(generate_plan(3), m=10**15))
+    assert report.failures == [
+        "correctness-identity violation: the diagonal terms name fewer than m = 1000000000000000 taps"
+    ]
 
 
 def test_json_round_trip_is_byte_identical():
@@ -338,13 +354,17 @@ def test_json_loads_invalid_plans_for_validation():
         (_edited_plan3("a_pre", [[1, 0, -1, 0]]), "a_pre shape (1, 4), expected (4, 4)"),
         (_edited_plan3("a_post", [[1, 1, 1, 0]]), "a_post shape (1, 4), expected (2, 4)"),
     ]
-    # A huge m with empty rows is reported without building anything m long.
-    huge = {"m": 10**15, "blocks": [{"kind": "wino3", "offset": 0}],
-            "a_pre": [], "a_post": [[], []], "diag": []}
-    cases.append((json.dumps(huge), "do not tile the tap range [0, 1000000000000000)"))
     for text, message in cases:
         report = validate_plan(plan_from_json(text))
         assert any(message in msg for msg in report.failures), report.failures
+    # A huge m with empty rows is reported without building anything m long.
+    huge = {"m": 10**15, "blocks": [{"kind": "wino3", "offset": 0}],
+            "a_pre": [], "a_post": [[], []], "diag": []}
+    assert validate_plan(plan_from_json(json.dumps(huge))).failures == [
+        "a plan needs at least one diagonal term",
+        "sparse-row violation: a_post row 0 is empty",
+        "sparse-row violation: a_post row 1 is empty",
+    ]
 
 
 def test_validate_flags_every_single_sign_flip():
